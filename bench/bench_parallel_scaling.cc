@@ -1,11 +1,12 @@
-// Experiment E8: morsel-parallel bounded evaluation and the derivation cache.
+// Experiment E8: batch bounded evaluation on the worker pool and the
+// derivation cache.
 //
 // Two claims the sidecar pins down for scripts/bench_regress.py:
 //   1. Parallel speedup without accounting drift — a batch of bounded Q1
-//      evaluations over sharded relations runs >= 2x faster at 4 threads
-//      than at 1 (enforced only when the host has >= 4 hardware threads),
-//      while fetch counts, index lookups, and the Theorem 4.2 verdict are
-//      byte-identical at every thread count.
+//      evaluations runs >= 2x faster at 4 threads than at 1 (enforced only
+//      when the host measures >= 4 effective CPUs, recorded as
+//      host.effective_cpus), while fetch counts, index lookups, and the
+//      Theorem 4.2 verdict are byte-identical at every thread count.
 //   2. The analysis cache turns repeated controllability derivations into
 //      hash lookups — warm lookups are >= 5x faster than cold derivations.
 
@@ -35,7 +36,6 @@ namespace {
 constexpr const char* kQ1 =
     "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")";
 constexpr size_t kBatch = 512;
-constexpr size_t kShards = 8;
 
 }  // namespace
 
@@ -48,6 +48,10 @@ int main() {
   bench::JsonReport report("parallel_scaling");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   report.Add("hw_threads", static_cast<uint64_t>(hw));
+  const double effective_cpus = bench::EffectiveCpus();
+  report.Add("host.effective_cpus", effective_cpus);
+  std::printf("host: %u hardware thread(s), %.2f effective CPU(s)\n", hw,
+              effective_cpus);
 
   SocialConfig config;
   config.num_persons = 30000;
@@ -58,9 +62,6 @@ int main() {
   Database db = GenerateSocial(config);
   AccessSchema access = SocialAccessSchema(config);
   SI_CHECK(access.BuildIndexes(&db, schema).ok());
-  for (const char* rel : {"friend", "person"}) {
-    db.relation(rel).Shard(kShards);
-  }
 
   Result<FoQuery> q1 = ParseFoQuery(kQ1, &schema);
   SI_CHECK(q1.ok());
@@ -91,12 +92,8 @@ int main() {
   SI_CHECK(program.ok());
   exec::PrebuildCompiledIndexes(db, **program);
   exec::CompiledEvaluator vm(&db);
-  // Governed twin of the evaluator: an armed governor with a budget no run
-  // can trip pins down the cost of the ledger/lease/replay machinery itself.
-  exec::GovernorLimits governed_limits;
-  governed_limits.fetch_budget = 1ULL << 60;
-  TablePrinter table({"threads", "batch ms", "compiled ms", "governed ms",
-                      "queries/s", "fetches", "index lookups", "verdict"});
+  TablePrinter table({"threads", "batch ms", "compiled ms", "queries/s",
+                      "fetches", "index lookups", "verdict"});
   par::WorkerPool& pool = par::WorkerPool::Global();
   uint64_t fetches_at_1 = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
@@ -129,21 +126,6 @@ int main() {
         (void)vm.EvaluateBatch(**program, batch, nullptr);
       }));
     }
-    evaluator.set_limits(governed_limits);
-    BoundedEvalStats governed_stats;
-    std::vector<Result<AnswerSet>> governed_results =
-        evaluator.EvaluateBatch(*q1, *analysis, batch, &governed_stats);
-    for (const Result<AnswerSet>& r : governed_results) SI_CHECK(r.ok());
-    double governed_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
-      governed_ms = std::min(governed_ms, MeasureMs([&] {
-        (void)evaluator.EvaluateBatch(*q1, *analysis, batch, nullptr);
-      }));
-    }
-    evaluator.set_limits({});
-    // Governed accounting must agree with ungoverned to the tuple.
-    SI_CHECK(governed_stats.base_tuples_fetched == stats.base_tuples_fetched);
-    SI_CHECK(governed_stats.index_lookups == stats.index_lookups);
     // The batch-level Theorem 4.2 bound: each of the kBatch evaluations
     // fetches at most M tuples.
     const double batch_bound = *per_query_bound * static_cast<double>(kBatch);
@@ -155,7 +137,7 @@ int main() {
     SI_CHECK(stats.base_tuples_fetched == fetches_at_1);
 
     table.AddRow({std::to_string(threads), FormatDouble(batch_ms, 3),
-                  FormatDouble(compiled_ms, 3), FormatDouble(governed_ms, 3),
+                  FormatDouble(compiled_ms, 3),
                   FormatCount(static_cast<uint64_t>(kBatch / (batch_ms / 1e3))),
                   FormatCount(stats.base_tuples_fetched),
                   FormatCount(stats.index_lookups), verdict});
@@ -165,9 +147,6 @@ int main() {
     report.Add(prefix + "compiled_batch_ms", compiled_ms);
     report.Add(prefix + "compiled_base_tuples_fetched",
                compiled_stats.base_tuples_fetched);
-    report.Add(prefix + "governed_batch_ms", governed_ms);
-    report.Add(prefix + "governed_base_tuples_fetched",
-               governed_stats.base_tuples_fetched);
     report.Add(prefix + "base_tuples_fetched", stats.base_tuples_fetched);
     report.Add(prefix + "index_lookups", stats.index_lookups);
     report.Add(prefix + "static_bound", batch_bound);

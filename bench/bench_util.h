@@ -1,9 +1,12 @@
 #ifndef SCALEIN_BENCH_BENCH_UTIL_H_
 #define SCALEIN_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -125,6 +128,35 @@ double MeasureMs(Fn&& fn, double min_ms = 20.0) {
     ++iters;
   } while (timer.ElapsedMs() < min_ms);
   return timer.ElapsedMs() / iters;
+}
+
+/// Measured parallelism of this host: a spin loop calibrated to ~40 ms on
+/// one thread is run once alone, then once on every hardware thread at the
+/// same time; returns N * t1 / tN. Unlike hardware_concurrency(), this sees
+/// CPU quotas and busy neighbours, so thread-scaling gates can tell a host
+/// that cannot run N lanes at once from a regression.
+inline double EffectiveCpus() {
+  auto spin = [](uint64_t iters) {
+    volatile uint64_t x = 1;  // keeps the loop from being folded away
+    for (uint64_t i = 0; i < iters; ++i) x = x * 6364136223846793005ULL + i;
+  };
+  uint64_t iters = uint64_t{1} << 20;
+  for (;;) {
+    Timer t;
+    spin(iters);
+    if (t.ElapsedMs() > 40.0 || iters > (uint64_t{1} << 34)) break;
+    iters *= 2;
+  }
+  Timer one;
+  spin(iters);
+  const double t1 = one.ElapsedMs();
+  const unsigned n = std::max(1u, std::thread::hardware_concurrency());
+  Timer all;
+  std::vector<std::thread> threads;
+  for (unsigned i = 0; i < n; ++i) threads.emplace_back(spin, iters);
+  for (std::thread& t : threads) t.join();
+  const double tn = all.ElapsedMs();
+  return tn > 0 ? n * t1 / tn : 1.0;
 }
 
 inline void Header(const char* experiment, const char* paper_artifact,

@@ -1,13 +1,10 @@
 #include "core/bounded_eval.h"
 
 #include <algorithm>
-#include <deque>
-#include <iterator>
 #include <optional>
 #include <unordered_map>
 
 #include "core/approx.h"
-#include "exec/governed_parallel.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "par/worker_pool.h"
@@ -16,12 +13,8 @@
 namespace scalein {
 namespace {
 
-/// Minimum chase-frontier size before the per-assignment loop is worth
-/// fanning out as morsels; below this the submit/merge overhead dominates.
-constexpr size_t kParallelFrontierThreshold = 16;
-
-/// Builds every index the derivation under (node, opt) can probe, so a
-/// subsequent parallel walk only ever *finds* indexes (Ensure* is a
+/// Builds every index the derivation under (node, opt) can probe, so the
+/// lanes of a batch only ever *find* indexes (Ensure* is a
 /// const-but-mutating cache fill and must not race). Mirrors the recursion
 /// of PlainExecutor::RegisterOps.
 void PrebuildPlainIndexes(const Database& db, const NodeAnalysis& node,
@@ -29,11 +22,7 @@ void PrebuildPlainIndexes(const Database& db, const NodeAnalysis& node,
   if (opt.rule == "atom") {
     const Relation* rel = db.FindRelation(node.formula.relation());
     if (rel == nullptr || opt.key_positions.empty()) return;
-    if (rel->num_shards() > 1) {
-      rel->EnsureShardedIndex(opt.key_positions);
-    } else {
-      rel->EnsureIndex(opt.key_positions);
-    }
+    rel->EnsureIndex(opt.key_positions);
     return;
   }
   if (opt.rule == "and") {
@@ -70,13 +59,7 @@ void PrebuildEmbeddedIndexes(const Database& db,
     for (const AtomChaseStep& step : ap.steps) {
       rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
     }
-    if (ap.needs_verification) {
-      if (rel->num_shards() > 1) {
-        rel->EnsureShardedIndex(ap.verify_key_positions);
-      } else {
-        rel->EnsureIndex(ap.verify_key_positions);
-      }
-    }
+    if (ap.needs_verification) rel->EnsureIndex(ap.verify_key_positions);
   }
 }
 
@@ -127,16 +110,6 @@ class PlainExecutor {
  public:
   PlainExecutor(Database* db, bool enforce_bounds, exec::ExecContext* ctx)
       : db_(db), enforce_bounds_(enforce_bounds), ctx_(ctx) {}
-
-  /// Worker-lane view for a governed fan-out: shares the parent's node→op
-  /// registration (so charge logs carry the parent's op ids) but charges
-  /// `ctx` — a charge-log worker context. The worker never writes the
-  /// parent's OpCounters; the parent's replay does.
-  PlainExecutor(const PlainExecutor& parent, exec::ExecContext* ctx)
-      : db_(parent.db_),
-        enforce_bounds_(parent.enforce_bounds_),
-        ctx_(ctx),
-        node_ops_(parent.node_ops_) {}
 
   Status status() const { return ctx_->status(); }
 
@@ -192,9 +165,7 @@ class PlainExecutor {
     }
 #endif
     BindingSet out = EvalImpl(node, opt, env, op);
-    // Routed through the context so worker lanes log the bump for the
-    // parent's replay instead of writing the shared counter.
-    ctx_->ChargeOpRows(op, out.size());
+    if (op != nullptr) op->rows_out += out.size();
     return out;
   }
 
@@ -312,150 +283,29 @@ class PlainExecutor {
     return out;
   }
 
-  /// True when a frontier of `items` independent sub-derivations is worth
-  /// fanning out: wide enough, a pool to run on, not already inside a
-  /// parallel region (batch lanes and morsel workers run inline), and the
-  /// context still clean.
-  bool ShouldFanOut(size_t items) const {
-    return items >= kParallelFrontierThreshold && par::CurrentLane() < 0 &&
-           par::WorkerPool::Global().threads() > 1 && ctx_->ok();
-  }
-
-  /// Expands every partial binding through (child, child_opt) — the §4
-  /// option tree's independent subformula derivations — as governed
-  /// parallel morsels. Appends to `next` in partial order, exactly like the
-  /// sequential expansion loop.
-  void ExpandParallel(const NodeAnalysis& child, const ControlOption& child_opt,
-                      const Binding& env, const std::vector<Binding>& partials,
-                      std::vector<Binding>* next) {
-    // Ensure* is a const-but-mutating cache fill; build every index this
-    // subtree can probe before lanes race on it.
-    PrebuildPlainIndexes(*db_, child, child_opt);
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const std::vector<std::pair<size_t, size_t>> ranges =
-        par::SplitRanges(partials.size(), pool.threads() * 4);
-    std::vector<std::vector<Binding>> bufs(ranges.size());
-    auto expand_one = [&](const Binding& partial, PlainExecutor* exec,
-                          std::vector<Binding>* out) {
-      Binding combined = env;
-      for (const auto& [v, val] : partial) combined.insert_or_assign(v, val);
-      for (const Binding& ext : exec->Eval(child, child_opt, combined)) {
-        Binding merged = partial;
-        for (const auto& [v, val] : ext) merged.insert_or_assign(v, val);
-        out->push_back(std::move(merged));
-      }
-    };
-    (void)exec::GovernedParallelMorsels(
-        ctx_, ranges.size(),
-        [&](size_t ri, exec::ExecContext* wctx) {
-          PlainExecutor wexec(*this, wctx);
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && wctx->ok();
-               ++i) {
-            expand_one(partials[i], &wexec, &bufs[ri]);
-          }
-        },
-        [&](size_t ri) {
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && ctx_->ok();
-               ++i) {
-            expand_one(partials[i], this, next);
-          }
-        },
-        [&](size_t ri) {
-          next->insert(next->end(), std::make_move_iterator(bufs[ri].begin()),
-                       std::make_move_iterator(bufs[ri].end()));
-        });
-  }
-
-  /// Filters the surviving partials through the safe negations as governed
-  /// parallel morsels; (*keep)[i] ends up exactly as the sequential filter
-  /// loop would leave it. Worker lanes write disjoint ranges of `keep`;
-  /// morsels the reconciliation discards are either re-executed (starved)
-  /// or irrelevant (the whole conjunction returns {} once the context
-  /// fails).
-  void FilterNegationsParallel(const NodeAnalysis& node,
-                               const ControlOption& opt, const Binding& env,
-                               const std::vector<Binding>& partials,
-                               std::vector<uint8_t>* keep) {
-    const size_t n_neg = node.subs.size() - node.n_positives;
-    for (size_t ni = 0; ni < n_neg; ++ni) {
-      PrebuildPlainIndexes(*db_, *node.subs[node.n_positives + ni],
-                           *opt.child_options[opt.conjunct_order.size() + ni]);
-    }
-    keep->assign(partials.size(), 0);
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const std::vector<std::pair<size_t, size_t>> ranges =
-        par::SplitRanges(partials.size(), pool.threads() * 4);
-    auto filter_one = [&](const Binding& partial,
-                          PlainExecutor* exec) -> uint8_t {
-      Binding combined = env;
-      for (const auto& [v, val] : partial) combined.insert_or_assign(v, val);
-      for (size_t ni = 0; ni < n_neg; ++ni) {
-        const NodeAnalysis& neg = *node.subs[node.n_positives + ni];
-        const ControlOption& neg_opt =
-            *opt.child_options[opt.conjunct_order.size() + ni];
-        if (!exec->Eval(neg, neg_opt, combined).empty()) return 0;
-        if (!exec->ctx_->ok()) return 0;
-      }
-      return 1;
-    };
-    (void)exec::GovernedParallelMorsels(
-        ctx_, ranges.size(),
-        [&](size_t ri, exec::ExecContext* wctx) {
-          PlainExecutor wexec(*this, wctx);
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && wctx->ok();
-               ++i) {
-            (*keep)[i] = filter_one(partials[i], &wexec);
-          }
-        },
-        [&](size_t ri) {
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && ctx_->ok();
-               ++i) {
-            (*keep)[i] = filter_one(partials[i], this);
-          }
-        },
-        [&](size_t ri) {});
-  }
-
   BindingSet EvalAnd(const NodeAnalysis& node, const ControlOption& opt,
                      const Binding& env) {
-    // Positive conjuncts in derivation order; wide frontiers fan out as
-    // governed parallel morsels (exec/governed_parallel.h).
+    // Positive conjuncts in derivation order.
     std::vector<Binding> partials = {Binding{}};
     for (size_t step = 0; step < opt.conjunct_order.size(); ++step) {
       const NodeAnalysis& child = *node.subs[opt.conjunct_order[step]];
       const ControlOption& child_opt = *opt.child_options[step];
       std::vector<Binding> next;
-      if (ShouldFanOut(partials.size())) {
-        ExpandParallel(child, child_opt, env, partials, &next);
-        if (!ctx_->ok()) return {};
-      } else {
-        for (const Binding& partial : partials) {
-          Binding combined = env;
-          for (const auto& [v, val] : partial) {
-            combined.insert_or_assign(v, val);
-          }
-          for (const Binding& ext : Eval(child, child_opt, combined)) {
-            Binding merged = partial;
-            for (const auto& [v, val] : ext) merged.insert_or_assign(v, val);
-            next.push_back(std::move(merged));
-          }
-          if (!ctx_->ok()) return {};
+      for (const Binding& partial : partials) {
+        Binding combined = env;
+        for (const auto& [v, val] : partial) combined.insert_or_assign(v, val);
+        for (const Binding& ext : Eval(child, child_opt, combined)) {
+          Binding merged = partial;
+          for (const auto& [v, val] : ext) merged.insert_or_assign(v, val);
+          next.push_back(std::move(merged));
         }
+        if (!ctx_->ok()) return {};
       }
       partials = std::move(next);
     }
     // Safe negations filter the surviving partials.
     const size_t n_neg = node.subs.size() - node.n_positives;
     BindingSet out;
-    if (n_neg > 0 && ShouldFanOut(partials.size())) {
-      std::vector<uint8_t> keep;
-      FilterNegationsParallel(node, opt, env, partials, &keep);
-      if (!ctx_->ok()) return {};
-      for (size_t i = 0; i < partials.size(); ++i) {
-        if (keep[i]) out.insert(partials[i]);
-      }
-      return out;
-    }
     for (const Binding& partial : partials) {
       Binding combined = env;
       for (const auto& [v, val] : partial) combined.insert_or_assign(v, val);
@@ -754,33 +604,16 @@ Result<AnswerSet> BoundedEvaluator::EvaluateEmbeddedImpl(
            obs::EventArg("frontier", static_cast<uint64_t>(assignments.size()))});
     }
     const Relation* rel = db_->FindRelation(atom.relation);
+    // The canonical verification key layout, computed without forcing an
+    // index build.
+    const std::vector<size_t> verify_positions =
+        ap.needs_verification
+            ? Relation::CanonicalPositions(ap.verify_key_positions)
+            : std::vector<size_t>{};
 
-    // Prebuild this atom's indexes (Ensure* is const-but-mutating on first
-    // use) so the morsel fan-out below only ever reads, and compute the
-    // canonical verification key layout without forcing an unrelated index.
-    std::vector<size_t> verify_positions;
-    if (rel != nullptr) {
-      for (const AtomChaseStep& step : ap.steps) {
-        rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
-      }
-      if (ap.needs_verification) {
-        verify_positions =
-            Relation::CanonicalPositions(ap.verify_key_positions);
-        if (rel->num_shards() > 1) {
-          rel->EnsureShardedIndex(verify_positions);
-        } else {
-          rel->EnsureIndex(verify_positions);
-        }
-      }
-    }
-
-    // One frontier assignment through this atom's chase — the body of the
-    // former sequential loop, parameterized on the charging context and
-    // output sink so it can run as a morsel on any lane.
-    auto process_assignment = [&](const Binding& assignment,
-                                  exec::ExecContext* actx,
-                                  exec::OpCounters* aop,
-                                  std::vector<Binding>* out) -> Status {
+    // Extends one frontier assignment through this atom's chase.
+    std::vector<Binding> next_assignments;
+    auto chase_assignment = [&](const Binding& assignment) -> Status {
       // Seed partial tuple from constants and bound variables.
       Partial seed(atom.args.size());
       for (size_t p = 0; p < atom.args.size(); ++p) {
@@ -808,9 +641,9 @@ Result<AnswerSet> BoundedEvaluator::EvaluateEmbeddedImpl(
             key.push_back(*cand[p]);
           }
           std::vector<Tuple> projections = exec::MeteredProjectionLookup(
-              actx, atom.relation, *rel, step.key_positions,
-              step.value_positions, key, aop);
-          SI_RETURN_IF_ERROR(actx->status());
+              ctx, atom.relation, *rel, step.key_positions,
+              step.value_positions, key, op);
+          SI_RETURN_IF_ERROR(ctx->status());
           if (enforce_bounds_ &&
               projections.size() > step.statement->max_tuples) {
             return Status::ResourceExhausted(
@@ -844,8 +677,8 @@ Result<AnswerSet> BoundedEvaluator::EvaluateEmbeddedImpl(
         if (ap.needs_verification) {
           Tuple vkey = ProjectTuple(row, verify_positions);
           const std::vector<uint32_t>* rows = exec::MeteredIndexLookup(
-              actx, atom.relation, *rel, verify_positions, vkey, aop);
-          SI_RETURN_IF_ERROR(actx->status());
+              ctx, atom.relation, *rel, verify_positions, vkey, op);
+          SI_RETURN_IF_ERROR(ctx->status());
           bool found = false;
           if (rows != nullptr) {
             if (enforce_bounds_ &&
@@ -876,62 +709,15 @@ Result<AnswerSet> BoundedEvaluator::EvaluateEmbeddedImpl(
             extended.emplace(t.var(), row[p]);
           }
         }
-        if (ok) out->push_back(std::move(extended));
+        if (ok) next_assignments.push_back(std::move(extended));
       }
       return Status::OK();
     };
-
-    std::vector<Binding> next_assignments;
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const bool fan_out = rel != nullptr && pool.threads() > 1 &&
-                         assignments.size() >= kParallelFrontierThreshold &&
-                         ctx->ok();
-    if (rel == nullptr) {
-      // Unknown relation: the frontier dies here, matching a lookup miss.
-    } else if (!fan_out) {
+    // Unknown relation: the frontier dies here, matching a lookup miss.
+    if (rel != nullptr) {
       for (const Binding& assignment : assignments) {
-        SI_RETURN_IF_ERROR(
-            process_assignment(assignment, ctx, op, &next_assignments));
+        SI_RETURN_IF_ERROR(chase_assignment(assignment));
       }
-    } else {
-      // Governed morsel fan-out over the frontier (the sub-budget lease /
-      // charge-log replay protocol, exec/governed_parallel.h): worker lanes
-      // charge private logs against per-lane leases and the parent replays
-      // them in morsel order through its own armed governor, so answers,
-      // accounting, and trip verdicts are byte-identical to the sequential
-      // walk at any thread count — armed or not.
-      const std::vector<std::pair<size_t, size_t>> ranges =
-          par::SplitRanges(assignments.size(), pool.threads() * 4);
-      std::vector<std::vector<Binding>> worker_out(ranges.size());
-      Status frontier_error = Status::OK();
-      (void)exec::GovernedParallelMorsels(
-          ctx, ranges.size(),
-          [&](size_t ri, exec::ExecContext* wctx) {
-            for (size_t i = ranges[ri].first; i < ranges[ri].second; ++i) {
-              Status s = process_assignment(assignments[i], wctx, op,
-                                            &worker_out[ri]);
-              if (!s.ok()) {
-                wctx->SetError(std::move(s));
-                break;
-              }
-              if (!wctx->ok()) break;
-            }
-          },
-          [&](size_t ri) {
-            for (size_t i = ranges[ri].first; i < ranges[ri].second; ++i) {
-              if (!ctx->ok() || !frontier_error.ok()) break;
-              frontier_error = process_assignment(assignments[i], ctx, op,
-                                                  &next_assignments);
-            }
-          },
-          [&](size_t ri) {
-            next_assignments.insert(
-                next_assignments.end(),
-                std::make_move_iterator(worker_out[ri].begin()),
-                std::make_move_iterator(worker_out[ri].end()));
-          });
-      SI_RETURN_IF_ERROR(frontier_error);
-      SI_RETURN_IF_ERROR(ctx->status());
     }
     if (op != nullptr) {
       op->rows_out += next_assignments.size();

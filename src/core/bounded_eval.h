@@ -39,12 +39,6 @@ struct BoundedEvalStats {
   /// Static fetch bound of the most recent evaluation's derivation (the
   /// Theorem 4.2 / Proposition 4.5 M); negative until an evaluation ran.
   double static_bound = -1.0;
-  /// Per-lane observability of governed fan-outs (lane → raw fetches /
-  /// probes attempted on that lane, including discarded morsels). Empty
-  /// when no in-query fan-out ran. Purely observational: the deterministic
-  /// accounting above comes from the lane-ordered replay, not these.
-  std::map<int, uint64_t> fetched_by_lane;
-  std::map<int, uint64_t> lookups_by_lane;
 
   void Count(const std::string& relation, uint64_t tuples) {
     ++index_lookups;
@@ -62,12 +56,6 @@ struct BoundedEvalStats {
     for (const auto& [name, n] : other.fetched_by_relation) {
       fetched_by_relation[name] += n;
     }
-    for (const auto& [lane, n] : other.fetched_by_lane) {
-      fetched_by_lane[lane] += n;
-    }
-    for (const auto& [lane, n] : other.lookups_by_lane) {
-      lookups_by_lane[lane] += n;
-    }
     if (capture_ops) ops.insert(ops.end(), other.ops.begin(), other.ops.end());
     if (other.static_bound >= 0) static_bound = other.static_bound;
   }
@@ -78,12 +66,6 @@ struct BoundedEvalStats {
     index_lookups += ctx.index_lookups();
     for (const auto& [name, n] : ctx.fetched_by_relation()) {
       fetched_by_relation[name] += n;
-    }
-    for (const auto& [lane, n] : ctx.fetched_by_lane()) {
-      fetched_by_lane[lane] += n;
-    }
-    for (const auto& [lane, n] : ctx.lookups_by_lane()) {
-      lookups_by_lane[lane] += n;
     }
     if (capture_ops) {
       std::vector<exec::OpCounters> snapshot = ctx.SnapshotOps();
@@ -127,14 +109,9 @@ class BoundedEvaluator {
 
   /// Evaluates Q(ā, ·) via a plain-controllability derivation: `params`
   /// must cover some derived controlling set. Answers range over the head
-  /// variables not bound by `params`, in head order.
-  ///
-  /// Wide intermediate frontiers inside one evaluation (a conjunction step
-  /// expanding, or filtering negations over, ≥ 16 partial bindings) fan out
-  /// as governed morsels on the global worker pool; the sub-budget
-  /// lease/replay protocol (exec/governed_parallel.h) keeps answers,
-  /// accounting, and governor trips byte-identical to the single-threaded
-  /// run whether or not limits are armed.
+  /// variables not bound by `params`, in head order. The derivation is
+  /// walked sequentially on the calling thread; parallelism runs across
+  /// evaluations (EvaluateBatch, serve run slots), never inside one.
   Result<AnswerSet> Evaluate(const FoQuery& q,
                              const ControllabilityAnalysis& analysis,
                              const Binding& params,
@@ -164,13 +141,6 @@ class BoundedEvaluator {
   /// Evaluates an embedded-controllability plan (Proposition 4.5) for a CQ.
   /// `params` must bind exactly the variables the analysis was built with.
   /// Answers range over head positions whose term is an unbound variable.
-  ///
-  /// When the global worker pool has more than one lane and a chase step's
-  /// frontier is large enough, the per-frontier loop inside one evaluation
-  /// runs as governed parallel morsels — armed or not. Worker lanes charge
-  /// private logs against per-lane sub-budget leases and the parent replays
-  /// them in morsel order (exec/governed_parallel.h), so answers, fetch
-  /// accounting, and trip verdicts are byte-identical at any thread count.
   Result<AnswerSet> EvaluateEmbedded(const EmbeddedCqAnalysis& analysis,
                                      const Binding& params,
                                      BoundedEvalStats* stats = nullptr) const;

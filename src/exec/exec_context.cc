@@ -22,14 +22,6 @@ const Relation* ExecContext::Resolve(const std::string& name) const {
 
 void ExecContext::RecordTrip() {
   if (!status_.ok() || !governor_.tripped()) return;
-  if (log_mode_) {
-    // Worker-local (time-only) trip: this lane's log understates the
-    // sequential prefix, so mark it starved and stop quietly; the parent
-    // re-executes the morsel and records the authoritative trip itself.
-    starved_ = true;
-    status_ = governor_.trip().ToStatus();
-    return;
-  }
   status_ = governor_.trip().ToStatus();
   if (obs::FlightRecorderEnabled()) {
     const TripInfo& trip = governor_.trip();
@@ -48,16 +40,10 @@ void ExecContext::Charge(const std::string& relation, uint64_t tuples,
 }
 
 uint64_t* ExecContext::RelationSlot(const std::string& name) {
-  uint64_t* slot = &fetched_by_relation_[name];
-  if (log_mode_) log_slot_ids_.emplace(slot, InternLogRelation(name));
-  return slot;
+  return &fetched_by_relation_[name];
 }
 
 void ExecContext::ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op) {
-  if (log_mode_) {
-    LogCharge(ChargeEvent::Kind::kScan, log_slot_ids_.at(slot), n, op);
-    return;
-  }
   *slot += n;
   base_tuples_fetched_ += n;
   if (op != nullptr) op->tuples_fetched += n;
@@ -66,12 +52,6 @@ void ExecContext::ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op) {
 
 void ExecContext::ChargeIndexLookup(const std::string& relation,
                                     uint64_t tuples, OpCounters* op) {
-  if (log_mode_) {
-    ++index_lookups_;
-    LogCharge(ChargeEvent::Kind::kLookup, InternLogRelation(relation), tuples,
-              op);
-    return;
-  }
   ++index_lookups_;
   if (op != nullptr) {
     ++op->index_lookups;
@@ -82,92 +62,8 @@ void ExecContext::ChargeIndexLookup(const std::string& relation,
 
 void ExecContext::ChargeScan(const std::string& relation, uint64_t tuples,
                              OpCounters* op) {
-  if (log_mode_) {
-    LogCharge(ChargeEvent::Kind::kScan, InternLogRelation(relation), tuples,
-              op);
-    return;
-  }
   if (op != nullptr) op->tuples_fetched += tuples;
   Charge(relation, tuples, op);
-}
-
-void ExecContext::ChargeOpRows(OpCounters* op, uint64_t n) {
-  if (op == nullptr || n == 0) return;
-  if (log_mode_) {
-    charge_log_.push_back({ChargeEvent::Kind::kRows, op->id, 0, n});
-    return;
-  }
-  op->rows_out += n;
-}
-
-uint32_t ExecContext::InternLogRelation(const std::string& relation) {
-  auto [it, inserted] = log_relation_ids_.emplace(
-      relation, static_cast<uint32_t>(log_relations_.size()));
-  if (inserted) log_relations_.push_back(relation);
-  return it->second;
-}
-
-void ExecContext::LogCharge(ChargeEvent::Kind kind, uint32_t relation_id,
-                            uint64_t tuples, OpCounters* op) {
-  charge_log_.push_back({kind, op != nullptr ? op->id : -1, relation_id,
-                         tuples});
-  base_tuples_fetched_ += tuples;
-  fetched_by_relation_[log_relations_[relation_id]] += tuples;
-  if (!lease_.Charge(tuples)) {
-    starved_ = true;
-    SetError(
-        Status::ResourceExhausted("worker lane sub-budget lease exhausted"));
-    return;
-  }
-  // Time-only local governor (the fetch budget lives in the shared ledger);
-  // a trip here marks the lane starved via RecordTrip.
-  if (!governor_.OnFetch(base_tuples_fetched_, nullptr)) RecordTrip();
-}
-
-void ExecContext::BeginChargeLog(SharedLedger* ledger,
-                                 const GovernorLimits& time_limits) {
-  log_mode_ = true;
-  starved_ = false;
-  lease_.Attach(ledger);
-  governor_.Arm(time_limits);
-}
-
-void ExecContext::ReplayWorker(const ExecContext& worker) {
-  for (const ChargeEvent& ev : worker.charge_log_) {
-    if (!ok()) return;  // the sequential walk would have stopped here
-    OpCounters* op = ev.op_id >= 0 ? &ops_[ev.op_id] : nullptr;
-    switch (ev.kind) {
-      case ChargeEvent::Kind::kRows:
-        if (op != nullptr) op->rows_out += ev.n;
-        break;
-      case ChargeEvent::Kind::kLookup:
-        ChargeIndexLookup(worker.log_relations_[ev.relation], ev.n, op);
-        break;
-      case ChargeEvent::Kind::kScan:
-        ChargeScan(worker.log_relations_[ev.relation], ev.n, op);
-        break;
-    }
-  }
-  if (ok() && !worker.status_.ok()) status_ = worker.status_;
-}
-
-void ExecContext::AccumulateLane(int lane, const ExecContext& worker) {
-  if (lane < 0) lane = 0;
-  fetched_by_lane_[lane] += worker.base_tuples_fetched_;
-  lookups_by_lane_[lane] += worker.index_lookups_;
-}
-
-void ExecContext::AbsorbWorker(const ExecContext& worker, OpCounters* op) {
-  base_tuples_fetched_ += worker.base_tuples_fetched_;
-  index_lookups_ += worker.index_lookups_;
-  for (const auto& [name, tuples] : worker.fetched_by_relation_) {
-    fetched_by_relation_[name] += tuples;
-  }
-  if (op != nullptr) {
-    op->tuples_fetched += worker.base_tuples_fetched_;
-    op->index_lookups += worker.index_lookups_;
-  }
-  if (!worker.status_.ok() && status_.ok()) status_ = worker.status_;
 }
 
 void ExecContext::SetError(Status s) {
@@ -220,11 +116,7 @@ const std::vector<uint32_t>* MeteredIndexLookup(
     ctx->SetError(std::move(s));
     return nullptr;
   }
-  // Sharded relations route the probe to the one shard owning the key's
-  // hash; accounting is identical to the single-index path.
-  const std::vector<uint32_t>* rows =
-      rel.num_shards() > 1 ? rel.EnsureShardedIndex(positions).Lookup(key)
-                           : rel.EnsureIndex(positions).Lookup(key);
+  const std::vector<uint32_t>* rows = rel.EnsureIndex(positions).Lookup(key);
   ctx->ChargeIndexLookup(name, rows == nullptr ? 0 : rows->size(), op);
   return rows;
 }

@@ -40,23 +40,6 @@ struct OpCounters {
   double static_bound = -1.0;
 };
 
-/// One recorded metered charge in a worker lane's charge log. Worker
-/// contexts of a governed fan-out do not consult the parent's governor;
-/// they append one event per metered call and the parent replays the logs
-/// in morsel order through its own armed governor, reproducing the exact
-/// sequential charge/trip sequence (see exec/governed_parallel.h).
-struct ChargeEvent {
-  enum class Kind : uint8_t {
-    kLookup,  ///< ChargeIndexLookup: one index probe fetching n tuples
-    kScan,    ///< ChargeScan / ChargeRows: n tuples with no probe
-    kRows,    ///< ChargeOpRows: n rows emitted by op (no governor probe)
-  };
-  Kind kind = Kind::kScan;
-  int32_t op_id = -1;     ///< parent-op id the charge attributes to; -1 none
-  uint32_t relation = 0;  ///< intern id into the worker's relation table
-  uint64_t n = 0;
-};
-
 /// Shared state of one physical evaluation: the database (with optional
 /// per-relation content overrides, used by the incremental engine to make a
 /// base-relation name stand for ∆R/∇R), the universal fetch accounting the
@@ -134,10 +117,9 @@ class ExecContext {
   void set_tracer(obs::Tracer* tracer) { tracer_ = tracer; }
 
   /// Correlation id of the evaluation this context belongs to, captured from
-  /// obs::CurrentQueryId() at construction (like the tracer) — worker-lane
-  /// contexts spawned mid-query inherit the same id, so per-lane artifacts
-  /// stay joinable to the one query that caused them. Invalid outside an
-  /// evaluation scope.
+  /// obs::CurrentQueryId() at construction (like the tracer), so the
+  /// context's artifacts stay joinable to the one query that caused them.
+  /// Invalid outside an evaluation scope.
   const obs::QueryId& query_id() const { return query_id_; }
   void set_query_id(const obs::QueryId& id) { query_id_ = id; }
 
@@ -171,63 +153,6 @@ class ExecContext {
   /// Hot-path scan charge of `n` tuples against a pre-resolved slot.
   void ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op);
 
-  /// Folds a morsel-worker context's universal accounting into this one:
-  /// base tuples fetched, index lookups, and per-relation fetch counts are
-  /// summed, and the worker's first error (if any) becomes this context's
-  /// error if it is still clean. When `op` is non-null the worker's totals
-  /// are also bumped onto that per-operator slot, so per-op Theorem 4.2
-  /// bound checks see the same numbers as a sequential run. The governor is
-  /// NOT re-charged — governed fan-out goes through the charge-log/replay
-  /// protocol (BeginChargeLog + ReplayWorker) instead, which reproduces the
-  /// sequential trip sequence exactly.
-  void AbsorbWorker(const ExecContext& worker, OpCounters* op = nullptr);
-
-  // --- Charge-log mode (worker lanes of a governed fan-out) ---
-
-  /// Puts this context into charge-log mode: metered charges are appended
-  /// to charge_log() instead of probing a parent governor, fetches are
-  /// served from a per-lane lease on `ledger`, and this context's own
-  /// governor is armed with `time_limits` (deadline/cancel only — copied
-  /// from the parent so all lanes share one clock). Per-op attribution is
-  /// recorded by parent-op id only; the worker never writes parent
-  /// OpCounters.
-  void BeginChargeLog(SharedLedger* ledger, const GovernorLimits& time_limits);
-
-  bool charge_log_active() const { return log_mode_; }
-  const std::vector<ChargeEvent>& charge_log() const { return charge_log_; }
-
-  /// True when this worker stopped early for a non-error reason: its lane
-  /// lease ran dry or its local (time-only) governor tripped. A starved
-  /// worker's log understates the sequential prefix, so the parent must
-  /// discard log and output and re-execute the morsel sequentially.
-  bool starved() const { return starved_; }
-
-  /// Bumps `op->rows_out` by `n` — or, in charge-log mode, records the bump
-  /// for the parent's replay so worker lanes never write parent counters.
-  void ChargeOpRows(OpCounters* op, uint64_t n);
-
-  /// Replays `worker`'s charge log into this context in recorded order,
-  /// re-applying every event through this context's governor exactly as a
-  /// sequential run would have: kLookup/kScan events charge fetches (and
-  /// per-op counters via the logged op ids), kRows events bump rows_out.
-  /// Stops applying governor probes once this context trips (remaining
-  /// events still land in the totals of nothing — they are dropped, as the
-  /// sequential walk would have stopped there). Afterwards, if this context
-  /// is still clean, the worker's error (if any) is adopted.
-  void ReplayWorker(const ExecContext& worker);
-
-  /// Folds a worker's raw totals into the per-lane observability map
-  /// (`lane` < 0 counts as lane 0, the inline caller lane). Purely
-  /// observational: per-lane numbers reflect work attempted, including
-  /// discarded morsels.
-  void AccumulateLane(int lane, const ExecContext& worker);
-  const std::map<int, uint64_t>& fetched_by_lane() const {
-    return fetched_by_lane_;
-  }
-  const std::map<int, uint64_t>& lookups_by_lane() const {
-    return lookups_by_lane_;
-  }
-
   /// First error wins; operators stop producing once a context has failed.
   const Status& status() const { return status_; }
   bool ok() const { return status_.ok(); }
@@ -255,11 +180,6 @@ class ExecContext {
   void Charge(const std::string& relation, uint64_t tuples, OpCounters* op);
   /// Converts the governor's recorded trip into this context's first error.
   void RecordTrip();
-  /// Charge-log mode: appends the event, keeps this worker's raw totals,
-  /// and stops the lane (starved_) when its lease runs dry.
-  void LogCharge(ChargeEvent::Kind kind, uint32_t relation_id, uint64_t tuples,
-                 OpCounters* op);
-  uint32_t InternLogRelation(const std::string& relation);
 
   const Database* db_ = nullptr;
   std::map<std::string, const Relation*> overrides_;
@@ -272,19 +192,6 @@ class ExecContext {
   obs::Tracer* tracer_ = nullptr;
   obs::QueryId query_id_;
   bool timing_enabled_ = false;
-
-  // Charge-log mode state (worker lanes of a governed fan-out).
-  bool log_mode_ = false;
-  bool starved_ = false;
-  SubBudget lease_;
-  std::vector<ChargeEvent> charge_log_;
-  std::vector<std::string> log_relations_;
-  std::map<std::string, uint32_t> log_relation_ids_;
-  std::map<const uint64_t*, uint32_t> log_slot_ids_;
-
-  // Per-lane observability (parent side of a governed fan-out).
-  std::map<int, uint64_t> fetched_by_lane_;
-  std::map<int, uint64_t> lookups_by_lane_;
 };
 
 /// Metered access primitives. Every component that touches base-relation

@@ -108,13 +108,6 @@ class ResourceGovernor {
   bool tripped() const { return trip_.kind != LimitKind::kNone; }
   const TripInfo& trip() const { return trip_; }
   uint64_t rows_emitted() const { return rows_emitted_; }
-  /// Last running fetch total seen by OnFetch; governed fan-out uses it to
-  /// size the shared ledger from the budget still unspent at fan-out time.
-  uint64_t last_fetched() const { return last_fetched_; }
-  /// The absolute monotonic deadline Arm() resolved (0 = none). Worker-lane
-  /// governors in a governed fan-out copy this so every lane shares the
-  /// parent's clock.
-  uint64_t resolved_deadline_ns() const { return deadline_ns_; }
 
   /// Probe after a fetch charge; `total_fetched` is the context's running
   /// total. Returns false when tripped (now or earlier).
@@ -168,27 +161,22 @@ class ResourceGovernor {
   bool has_time_limits_ = false;
 };
 
-/// The shared side of a governed fan-out's fetch budget: the parent's
-/// unspent budget plus a bounded per-lane overdraft, carved out by worker
-/// lanes in chunks through SubBudget leases. Lanes that cannot acquire a
-/// chunk are *starved* — they stop early and the parent re-executes their
-/// morsel sequentially, so the overdraft never changes what the caller
-/// observes; it only lets lanes that would have run within budget proceed
-/// without a shared atomic on every charge.
+/// A fetch capacity shared by concurrent holders: the server-wide pool that
+/// serve session envelopes carve their leases from (serve/session.h). Each
+/// holder Acquire()s up front and Release()s what it did not spend, so the
+/// sum of live reservations never exceeds the capacity. Thread-safe: one
+/// atomic reservation counter.
 class SharedLedger {
  public:
-  /// `remaining` is the parent's unspent fetch budget at fan-out time.
-  /// Capacity is `remaining` plus one lease chunk of slack per lane, so a
-  /// lane holding the morsel that crosses the budget line can log a faithful
-  /// prefix past it (the parent's replay re-applies the exact budget).
-  void Init(uint64_t remaining, size_t lanes) {
-    capacity_ = remaining + lanes * SubBudgetChunk();
+  /// Installs a finite capacity of `capacity` units, none reserved.
+  void Init(uint64_t capacity) {
+    capacity_ = capacity;
     reserved_.store(0, std::memory_order_relaxed);
     unlimited_ = false;
   }
 
-  /// True until Init() installs a finite budget (ledger on an unbudgeted
-  /// fan-out: every Acquire is granted in full).
+  /// True until Init() installs a finite capacity (every Acquire is then
+  /// granted in full).
   bool unlimited() const { return unlimited_; }
 
   /// Grants up to `want` units; returns the amount granted, 0 when the
@@ -226,43 +214,10 @@ class SharedLedger {
   /// Units currently reserved (for gauges; racy by nature).
   uint64_t Reserved() const { return reserved_.load(std::memory_order_relaxed); }
 
-  static constexpr uint64_t SubBudgetChunk() { return 64; }
-
  private:
   std::atomic<uint64_t> reserved_{0};
   uint64_t capacity_ = 0;
   bool unlimited_ = true;
-};
-
-/// A worker lane's lease on a SharedLedger. Charges are served from the
-/// locally leased amount; the shared atomic is touched only once per
-/// kChunk units. Charge() returning false means the ledger is exhausted and
-/// the lane must stop (its charge log is discarded and the morsel re-runs
-/// in the parent).
-class SubBudget {
- public:
-  static constexpr uint64_t kChunk = SharedLedger::SubBudgetChunk();
-
-  void Attach(SharedLedger* ledger) {
-    ledger_ = ledger;
-    leased_ = 0;
-  }
-
-  bool Charge(uint64_t n) {
-    if (ledger_ == nullptr || ledger_->unlimited()) return true;
-    while (leased_ < n) {
-      const uint64_t want = n - leased_ > kChunk ? n - leased_ : kChunk;
-      const uint64_t got = ledger_->Acquire(want);
-      if (got == 0) return false;
-      leased_ += got;
-    }
-    leased_ -= n;
-    return true;
-  }
-
- private:
-  SharedLedger* ledger_ = nullptr;
-  uint64_t leased_ = 0;
 };
 
 /// A structured partial result: what an engine produced before a governor

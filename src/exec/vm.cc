@@ -1,12 +1,10 @@
 #include "exec/vm.h"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
 #include <utility>
 
 #include "core/approx.h"
-#include "exec/governed_parallel.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
 #include "par/worker_pool.h"
@@ -15,12 +13,6 @@
 
 namespace scalein::exec {
 namespace {
-
-/// Keep in sync with bounded_eval.cc's kParallelFrontierThreshold: the
-/// compiled path must fan out at exactly the same frontier widths so the
-/// morsel splits — and therefore the charge-log replay order — stay
-/// identical to the interpreter at every thread count.
-constexpr size_t kParallelFrontierThreshold = 16;
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SCALEIN_VM_COMPUTED_GOTO 1
@@ -32,14 +24,13 @@ constexpr size_t kParallelFrontierThreshold = 16;
 /// once, the op table registered once (table index == prototype index).
 struct Shared {
   const CompiledProgram& p;
-  const Database* db;
   bool enforce = false;
   std::vector<const Relation*> rels;
   std::vector<OpCounters*> ops;  ///< empty when ops are not captured
 };
 
 Shared MakeShared(const CompiledProgram& p, const Database* db, bool enforce) {
-  Shared sh{p, db, enforce, {}, {}};
+  Shared sh{p, enforce, {}, {}};
   sh.rels.reserve(p.relations.size());
   for (const std::string& name : p.relations) {
     sh.rels.push_back(db->FindRelation(name));
@@ -62,10 +53,8 @@ void RegisterProgramOps(const CompiledProgram& p, ExecContext* ctx,
   }
 }
 
-/// Per-lane scratch buffers; worker lanes construct their own, so no state
-/// is shared across a fan-out (mirrors the interpreter's per-worker
-/// PlainExecutor).
-struct LaneScratch {
+/// Scratch buffers reused across one plain evaluation's leaf visits.
+struct PlainScratch {
   std::vector<Value> ext;     ///< distinct extensions, ext_width-wide chunks
   std::vector<Value> locals;  ///< one visit's local extension slots
   std::vector<Value> tmp;
@@ -226,7 +215,7 @@ bool EvalCondFormula(const Formula& f, const LeafCode& leaf, const Value* row,
 /// extension count — the visit's rows charge.
 uint64_t VisitLeafImpl(const Shared& sh, const LeafCode& leaf,
                        ExecContext* ctx, const Value* row, OpCounters* op,
-                       LaneScratch* s) {
+                       PlainScratch* s) {
   s->ext.clear();
   if (!ctx->ok()) return 0;
   const size_t w = leaf.ext_width;
@@ -296,7 +285,7 @@ uint64_t VisitLeafImpl(const Shared& sh, const LeafCode& leaf,
 /// The interpreter's Eval wrapper: rows-charge (or timed direct bump) on
 /// top of the leaf body.
 uint64_t VisitLeaf(const Shared& sh, const LeafCode& leaf, ExecContext* ctx,
-                   const Value* row, LaneScratch* s) {
+                   const Value* row, PlainScratch* s) {
   OpCounters* op =
       (leaf.op_idx >= 0 && !sh.ops.empty()) ? sh.ops[leaf.op_idx] : nullptr;
 #if SCALEIN_OBS_ENABLE_TIMING
@@ -310,7 +299,7 @@ uint64_t VisitLeaf(const Shared& sh, const LeafCode& leaf, ExecContext* ctx,
   }
 #endif
   const uint64_t d = VisitLeafImpl(sh, leaf, ctx, row, op, s);
-  ctx->ChargeOpRows(op, d);
+  if (op != nullptr) op->rows_out += d;
   return d;
 }
 
@@ -326,7 +315,7 @@ struct Frontier {
 /// leaf's ext registers overwritten. Extension chunks are sorted, so rows
 /// land in the interpreter's BindingSet iteration order.
 void MergeExtensions(const LeafCode& leaf, const Value* row, size_t w,
-                     const LaneScratch& s, uint64_t d,
+                     const PlainScratch& s, uint64_t d,
                      std::vector<Value>* out) {
   const size_t ew = leaf.ext_width;
   if (ew == 0) {
@@ -343,121 +332,28 @@ void MergeExtensions(const LeafCode& leaf, const Value* row, size_t w,
   }
 }
 
-/// Same predicate as the interpreter's PlainExecutor::ShouldFanOut.
-bool ShouldFanOut(ExecContext* ctx, size_t items) {
-  return items >= kParallelFrontierThreshold && par::CurrentLane() < 0 &&
-         par::WorkerPool::Global().threads() > 1 && ctx->ok();
-}
-
-/// Builds the one index a leaf can probe before a parallel section (Ensure*
-/// is a const-but-mutating cache fill and must not race).
-void PrebuildLeaf(const Database& db, const CompiledProgram& p,
-                  const LeafCode& leaf) {
-  if (leaf.is_condition || leaf.full_scan) return;
-  const Relation* rel = db.FindRelation(p.relations[leaf.relation]);
-  if (rel == nullptr) return;
-  if (rel->num_shards() > 1) {
-    rel->EnsureShardedIndex(leaf.key_positions);
-  } else {
-    rel->EnsureIndex(leaf.key_positions);
-  }
-}
-
-/// Expands every frontier row through one positive leaf, fanning out wide
-/// frontiers as governed morsels exactly like the interpreter's
-/// ExpandParallel. Returns false when the context failed (the interpreter's
-/// EvalAnd `return {}`).
+/// Expands every frontier row through one positive leaf. Returns false when
+/// the context failed (the interpreter's EvalAnd `return {}`).
 bool ExpandStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
-                 Frontier* rows, LaneScratch* s) {
+                 Frontier* rows, PlainScratch* s) {
   const size_t w = rows->width;
   const size_t n = rows->size();
   std::vector<Value> next;
-  if (ShouldFanOut(ctx, n)) {
-    PrebuildLeaf(*sh.db, sh.p, stage.leaf);
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const std::vector<std::pair<size_t, size_t>> ranges =
-        par::SplitRanges(n, pool.threads() * 4);
-    std::vector<std::vector<Value>> bufs(ranges.size());
-    (void)GovernedParallelMorsels(
-        ctx, ranges.size(),
-        [&](size_t ri, ExecContext* wctx) {
-          LaneScratch ws;
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && wctx->ok();
-               ++i) {
-            const Value* row = rows->row(i);
-            const uint64_t d = VisitLeaf(sh, stage.leaf, wctx, row, &ws);
-            MergeExtensions(stage.leaf, row, w, ws, d, &bufs[ri]);
-          }
-        },
-        [&](size_t ri) {
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && ctx->ok();
-               ++i) {
-            const Value* row = rows->row(i);
-            const uint64_t d = VisitLeaf(sh, stage.leaf, ctx, row, s);
-            MergeExtensions(stage.leaf, row, w, *s, d, &next);
-          }
-        },
-        [&](size_t ri) {
-          next.insert(next.end(), std::make_move_iterator(bufs[ri].begin()),
-                      std::make_move_iterator(bufs[ri].end()));
-        });
+  for (size_t i = 0; i < n; ++i) {
+    const Value* row = rows->row(i);
+    const uint64_t d = VisitLeaf(sh, stage.leaf, ctx, row, s);
+    MergeExtensions(stage.leaf, row, w, *s, d, &next);
     if (!ctx->ok()) return false;
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      const Value* row = rows->row(i);
-      const uint64_t d = VisitLeaf(sh, stage.leaf, ctx, row, s);
-      MergeExtensions(stage.leaf, row, w, *s, d, &next);
-      if (!ctx->ok()) return false;
-    }
   }
   rows->buf = std::move(next);
   return true;
 }
 
-/// Filters the frontier through the safe negation leaves — sequential loop
-/// or governed morsels over a keep mask, mirroring FilterNegationsParallel.
+/// Filters the frontier through the safe negation leaves.
 bool NegationStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
-                   Frontier* rows, LaneScratch* s) {
+                   Frontier* rows, PlainScratch* s) {
   const size_t w = rows->width;
   const size_t n = rows->size();
-  if (ShouldFanOut(ctx, n)) {
-    for (const LeafCode& neg : stage.negs) PrebuildLeaf(*sh.db, sh.p, neg);
-    std::vector<uint8_t> keep(n, 0);
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const std::vector<std::pair<size_t, size_t>> ranges =
-        par::SplitRanges(n, pool.threads() * 4);
-    auto filter_one = [&](const Value* row, ExecContext* actx,
-                          LaneScratch* as) -> uint8_t {
-      for (const LeafCode& neg : stage.negs) {
-        if (VisitLeaf(sh, neg, actx, row, as) > 0) return 0;
-        if (!actx->ok()) return 0;
-      }
-      return 1;
-    };
-    (void)GovernedParallelMorsels(
-        ctx, ranges.size(),
-        [&](size_t ri, ExecContext* wctx) {
-          LaneScratch ws;
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && wctx->ok();
-               ++i) {
-            keep[i] = filter_one(rows->row(i), wctx, &ws);
-          }
-        },
-        [&](size_t ri) {
-          for (size_t i = ranges[ri].first; i < ranges[ri].second && ctx->ok();
-               ++i) {
-            keep[i] = filter_one(rows->row(i), ctx, s);
-          }
-        },
-        [&](size_t ri) {});
-    if (!ctx->ok()) return false;
-    std::vector<Value> next;
-    for (size_t i = 0; i < n; ++i) {
-      if (keep[i]) next.insert(next.end(), rows->row(i), rows->row(i) + w);
-    }
-    rows->buf = std::move(next);
-    return true;
-  }
   std::vector<Value> next;
   for (size_t i = 0; i < n; ++i) {
     const Value* row = rows->row(i);
@@ -481,7 +377,7 @@ bool NegationStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
 /// materialization. Rows equal on the layout are duplicates over every
 /// register read downstream, so the unstable sort is observation-free.
 void FinalizeStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
-                   Frontier* rows, LaneScratch* s, uint64_t eval_start) {
+                   Frontier* rows, PlainScratch* s, uint64_t eval_start) {
   (void)eval_start;
   const size_t w = rows->width;
   const size_t n = rows->size();
@@ -530,7 +426,7 @@ void FinalizeStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
     return;
   }
 #endif
-  ctx->ChargeOpRows(op, d);
+  if (op != nullptr) op->rows_out += d;
 }
 
 /// Straight-line stage loop over one frontier buffer. On a context failure
@@ -539,7 +435,7 @@ void FinalizeStage(const Shared& sh, const PlainStage& stage, ExecContext* ctx,
 /// finalize/project stages still run — EvalAnd's `return {}` still flows
 /// through the and/exists Eval wrappers, charging zero rows.
 void RunPlainProgram(const Shared& sh, ExecContext* ctx, const Binding& params,
-                     Frontier* rows, LaneScratch* s) {
+                     Frontier* rows, PlainScratch* s) {
   const CompiledProgram& p = sh.p;
   rows->width = p.num_regs;
   rows->buf.assign(p.num_regs, Value());
@@ -602,7 +498,7 @@ Status CheckEmbeddedParams(const CompiledProgram& p, const Binding& params) {
   return Status::OK();
 }
 
-/// Per-lane scratch of the embedded chase: flat arity-wide candidate
+/// Scratch of the embedded chase: flat arity-wide candidate
 /// buffers with one validity-mask word per candidate (arity ≤ 64, enforced
 /// by the compiler).
 struct EmbScratch {
@@ -756,7 +652,7 @@ Result<AnswerSet> CompiledEvaluator::Evaluate(const CompiledProgram& program,
     RegisterProgramOps(program, &ctx, &sh);
   }
   Frontier rows;
-  LaneScratch scratch;
+  PlainScratch scratch;
   RunPlainProgram(sh, &ctx, params, &rows, &scratch);
   if (span.enabled()) {
     span.Arg("fetched", ctx.base_tuples_fetched());
@@ -813,7 +709,7 @@ Result<Degraded<AnswerSet>> CompiledEvaluator::EvaluateDegraded(
   // derivation node that was executing when the limit fired.
   RegisterProgramOps(program, &ctx, &sh);
   Frontier rows;
-  LaneScratch scratch;
+  PlainScratch scratch;
   RunPlainProgram(sh, &ctx, params, &rows, &scratch);
   if (span.enabled()) {
     span.Arg("fetched", ctx.base_tuples_fetched());
@@ -968,66 +864,13 @@ Result<AnswerSet> CompiledEvaluator::EvaluateEmbeddedImpl(
            obs::EventArg("frontier", static_cast<uint64_t>(n_rows))});
     }
     const Relation* rel = sh.rels[ac.relation];
-    // Prebuild this atom's indexes (Ensure* is const-but-mutating on first
-    // use) so the morsel fan-out below only ever reads.
-    if (rel != nullptr) {
-      for (const ChaseStepCode& step : ac.steps) {
-        rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
-      }
-      if (ac.needs_verification) {
-        if (rel->num_shards() > 1) {
-          rel->EnsureShardedIndex(ac.verify_positions);
-        } else {
-          rel->EnsureIndex(ac.verify_positions);
-        }
-      }
-    }
     std::vector<Value> next;
-    par::WorkerPool& pool = par::WorkerPool::Global();
-    const bool fan_out = rel != nullptr && pool.threads() > 1 &&
-                         n_rows >= kParallelFrontierThreshold && ctx->ok();
-    if (rel == nullptr) {
-      // Unknown relation: the frontier dies here, matching a lookup miss.
-    } else if (!fan_out) {
+    // Unknown relation: the frontier dies here, matching a lookup miss.
+    if (rel != nullptr) {
       for (size_t i = 0; i < n_rows; ++i) {
         SI_RETURN_IF_ERROR(ProcessRow(sh, ac, rel, rows.data() + i * w, ctx,
                                       op, &next, w, &scratch));
       }
-    } else {
-      // Governed morsel fan-out over the frontier: identical split, replay,
-      // and reconciliation to the interpreter's chase (bounded_eval.cc).
-      const std::vector<std::pair<size_t, size_t>> ranges =
-          par::SplitRanges(n_rows, pool.threads() * 4);
-      std::vector<std::vector<Value>> worker_out(ranges.size());
-      Status frontier_error = Status::OK();
-      (void)GovernedParallelMorsels(
-          ctx, ranges.size(),
-          [&](size_t ri, ExecContext* wctx) {
-            EmbScratch ws;
-            for (size_t i = ranges[ri].first; i < ranges[ri].second; ++i) {
-              Status s = ProcessRow(sh, ac, rel, rows.data() + i * w, wctx,
-                                    op, &worker_out[ri], w, &ws);
-              if (!s.ok()) {
-                wctx->SetError(std::move(s));
-                break;
-              }
-              if (!wctx->ok()) break;
-            }
-          },
-          [&](size_t ri) {
-            for (size_t i = ranges[ri].first; i < ranges[ri].second; ++i) {
-              if (!ctx->ok() || !frontier_error.ok()) break;
-              frontier_error = ProcessRow(sh, ac, rel, rows.data() + i * w,
-                                          ctx, op, &next, w, &scratch);
-            }
-          },
-          [&](size_t ri) {
-            next.insert(next.end(),
-                        std::make_move_iterator(worker_out[ri].begin()),
-                        std::make_move_iterator(worker_out[ri].end()));
-          });
-      SI_RETURN_IF_ERROR(frontier_error);
-      SI_RETURN_IF_ERROR(ctx->status());
     }
     const size_t next_n = w == 0 ? 0 : next.size() / w;
     if (op != nullptr) {
@@ -1141,11 +984,7 @@ void PrebuildCompiledIndexes(const Database& db,
     for (const PrebuildIndex& pb : program.prebuilds) {
       const Relation* rel = db.FindRelation(program.relations[pb.relation]);
       if (rel == nullptr || pb.positions.empty()) continue;
-      if (rel->num_shards() > 1) {
-        rel->EnsureShardedIndex(pb.positions);
-      } else {
-        rel->EnsureIndex(pb.positions);
-      }
+      rel->EnsureIndex(pb.positions);
     }
     return;
   }
@@ -1155,13 +994,7 @@ void PrebuildCompiledIndexes(const Database& db,
     for (const ChaseStepCode& step : ac.steps) {
       rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
     }
-    if (ac.needs_verification) {
-      if (rel->num_shards() > 1) {
-        rel->EnsureShardedIndex(ac.verify_positions);
-      } else {
-        rel->EnsureIndex(ac.verify_positions);
-      }
-    }
+    if (ac.needs_verification) rel->EnsureIndex(ac.verify_positions);
   }
 }
 

@@ -20,9 +20,9 @@ namespace scalein::exec {
 /// the contract everything else hangs off — the *identical* sequence of
 /// metered charges against an identically-registered op table. Answers,
 /// fetch totals, per-relation/per-op accounting, TripInfo, and sealed access
-/// certificates are byte-equal to the interpreter at any thread count; wide
-/// frontiers fan out through the same governed morsel protocol
-/// (exec/governed_parallel.h) with the same thresholds and splits.
+/// certificates are byte-equal to the interpreter at any thread count. Like
+/// the interpreter, each evaluation is one sequential walk; only the batch
+/// entry points spread whole evaluations over the worker pool.
 ///
 /// What the compiled path removes is the interpreter's per-tuple data
 /// structures: frontiers are flat register rows instead of
@@ -96,7 +96,7 @@ class CompiledEvaluator {
 };
 
 /// Builds every index `program` can probe (plain leaves or embedded chase
-/// steps + verification), so parallel execution only ever finds them —
+/// steps + verification), so the lanes of a batch only ever find them —
 /// the compiled counterpart of the interpreter's Prebuild* helpers.
 void PrebuildCompiledIndexes(const Database& db, const CompiledProgram& program);
 

@@ -168,8 +168,8 @@ std::string Shell::HelpText() {
       "                 (auto: compile a parameter-set on its 2nd sighting;\n"
       "                 off restores pure interpretation; also settable via\n"
       "                 SCALEIN_COMPILE)\n"
-      "  threads [N]    show or resize the morsel worker pool and report\n"
-      "                 shard-advisor decisions (applied on resize)\n"
+      "  threads [N]    show or resize the worker pool (batch lanes, server\n"
+      "                 run slots)\n"
       "  stats [prom] | stats watch <secs> [path] | stats watch off\n"
       "  journal        list this session's access certificates\n"
       "  certify        re-verify every certificate offline\n"
@@ -417,23 +417,6 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
   for (const auto& [relation, fetched] : stats.fetched_by_relation) {
     metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
   }
-  for (const auto& [lane, fetched] : stats.fetched_by_lane) {
-    metrics_->GetCounter(StrFormat("shell.lane.%d.fetched", lane))
-        .Increment(fetched);
-  }
-  for (const auto& [lane, lookups] : stats.lookups_by_lane) {
-    metrics_->GetCounter(StrFormat("shell.lane.%d.lookups", lane))
-        .Increment(lookups);
-  }
-  // Feedback loop: with a multi-lane pool, let the probe traffic this query
-  // just exported re-shard hot relations before the next evaluation.
-  if (par::WorkerPool::Global().threads() > 1) {
-    (void)shard_advisor_.Advise(db_.get(), *metrics_, "shell.fetched.",
-                                par::WorkerPool::Global().threads(),
-                                /*apply=*/true);
-    metrics_->GetGauge("shell.advisor.reshards")
-        .Set(static_cast<int64_t>(shard_advisor_.reshards()));
-  }
   if (!degraded.complete) {
     metrics_
         ->GetCounter(std::string("shell.governor.trips.") +
@@ -484,14 +467,6 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
         obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
                                   stats.index_lookups, stats.static_bound,
                                   degraded.trip);
-    if (!stats.fetched_by_lane.empty()) {
-      out += "lanes:";
-      for (const auto& [lane, fetched] : stats.fetched_by_lane) {
-        out += StrFormat(" %d=%llu", lane,
-                         static_cast<unsigned long long>(fetched));
-      }
-      out += "\n";
-    }
     if (program != nullptr) {
       out += "compiled:\n" + program->Disassemble();
     } else if (compile_mode_ != exec::CompiledPlanSet::Mode::kOff &&
@@ -886,32 +861,14 @@ Result<std::string> Shell::RunCertify(std::string_view rest) const {
 Result<std::string> Shell::RunThreads(std::string_view rest) {
   par::WorkerPool& pool = par::WorkerPool::Global();
   const std::string arg(StripWhitespace(rest));
-  const bool resized = !arg.empty();
-  if (resized) {
+  if (!arg.empty()) {
     SI_ASSIGN_OR_RETURN(uint64_t n, ParseShellU64(arg));
     if (n < 1) n = 1;
     if (n > 64) n = 64;
     pool.Resize(static_cast<size_t>(n));
     metrics_->GetGauge("shell.threads").Set(static_cast<int64_t>(n));
   }
-  std::string out = StrFormat("%zu thread(s)\n", pool.threads());
-  if (db_ != nullptr) {
-    // Bare `threads` just reports what the advisor would do; a resize also
-    // applies it, so the index layout tracks the new pool width immediately.
-    std::vector<par::ShardDecision> decisions = shard_advisor_.Advise(
-        db_.get(), *metrics_, "shell.fetched.", pool.threads(), resized);
-    for (const par::ShardDecision& d : decisions) {
-      out += StrFormat("  %s: rows=%zu probes=%llu shards=%zu -> %zu (%s)%s\n",
-                       d.relation.c_str(), d.rows,
-                       static_cast<unsigned long long>(d.probes),
-                       d.current_shards <= 1 ? size_t{1} : d.current_shards,
-                       d.advised_shards, d.reason,
-                       d.applied ? " [applied]" : "");
-    }
-    metrics_->GetGauge("shell.advisor.reshards")
-        .Set(static_cast<int64_t>(shard_advisor_.reshards()));
-  }
-  return out;
+  return StrFormat("%zu thread(s)\n", pool.threads());
 }
 
 Result<std::string> Shell::RunDump(std::string_view rest) const {

@@ -16,7 +16,6 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/workload.h"
-#include "par/shard_advisor.h"
 #include "query/formula.h"
 #include "relational/database.h"
 #include "relational/schema.h"
@@ -74,8 +73,7 @@ struct ServeEvalOutcome {
 ///   qdsi <M> Q(x) :- <CQ body>
 ///   limit [fetch=N] [deadline=MS] [rows=N] | limit off
 ///   compile [on|off|auto|status]   bytecode compilation of bounded plans
-///   threads [N]    size the morsel worker pool; reports shard-advisor
-///                  decisions per relation (and applies them on resize)
+///   threads [N]    size the worker pool (batch lanes, server run slots)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
 ///   journal | certify [dump.json|journal.jsonl] | dump [path]
 ///   slowlog [<ms>|off] | workload [top K | fingerprint <fp>]
@@ -138,9 +136,6 @@ class Shell {
   }
   /// Memoized controllability derivations; invalidated on schema/access DDL.
   const AnalysisCache& analysis_cache() const { return *analysis_cache_; }
-  /// Adaptive shard advisor: re-shards relations from cardinality and
-  /// observed probe traffic (`threads` reports it, eval feeds it back).
-  const par::ShardAdvisor& shard_advisor() const { return shard_advisor_; }
 
   /// Serve-mode hooks (src/serve builds on these). PrepareServe freezes the
   /// catalog for concurrent evaluation: it builds every access-schema index
@@ -150,7 +145,7 @@ class Shell {
   /// EvalForServe runs one admitted query under the given governor envelope
   /// and is safe to call from concurrent sessions after PrepareServe: it
   /// touches only thread-safe members (metrics, workload aggregator, journal
-  /// ring + store) and never the shard advisor or the session sequence.
+  /// ring + store) and never the session sequence.
   Status PrepareServe();
   Result<ServePlan> PlanForServe(std::string_view rest);
   /// `client_tag` is the serve layer's caller-supplied trace tag; it rides
@@ -228,7 +223,6 @@ class Shell {
   std::unique_ptr<obs::MetricsDumper> dumper_;
   std::unique_ptr<AnalysisCache> analysis_cache_ =
       std::make_unique<AnalysisCache>();
-  par::ShardAdvisor shard_advisor_;
   std::string dump_path_;  ///< SCALEIN_DUMP_PATH; default for `dump`
   uint64_t query_seq_ = 0;    ///< per-session QueryId sequence
   std::string journal_note_;  ///< startup JournalStore load report

@@ -81,8 +81,7 @@ class MetricsRegistry {
   Counter& GetCounter(const std::string& name);
   Gauge& GetGauge(const std::string& name);
   /// The counter named `name` if it already exists, else nullptr. Read-only
-  /// probes (e.g. the shard advisor's hot-relation scan) use this so probing
-  /// never mints empty metrics.
+  /// probes use this so probing never mints empty metrics.
   const Counter* FindCounter(const std::string& name) const;
   /// First call fixes the bucket layout; later calls with a different layout
   /// return the existing histogram unchanged.

@@ -14,91 +14,68 @@ thread_local int tls_lane = -1;
 
 int CurrentLane() { return tls_lane; }
 
-std::vector<std::pair<size_t, size_t>> SplitRanges(size_t total,
-                                                   size_t max_pieces) {
-  std::vector<std::pair<size_t, size_t>> out;
-  if (total == 0) return out;
-  if (max_pieces == 0) max_pieces = 1;
-  const size_t pieces = total < max_pieces ? total : max_pieces;
-  out.reserve(pieces);
-  const size_t base = total / pieces;
-  const size_t extra = total % pieces;  // first `extra` pieces get one more
-  size_t begin = 0;
-  for (size_t i = 0; i < pieces; ++i) {
-    const size_t len = base + (i < extra ? 1 : 0);
-    out.emplace_back(begin, begin + len);
-    begin += len;
-  }
-  return out;
-}
-
 WorkerPool::WorkerPool(size_t threads) { Resize(threads); }
 
-WorkerPool::~WorkerPool() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
-  }
-  cv_work_.notify_all();
-  for (std::thread& t : workers_) t.join();
-}
+WorkerPool::~WorkerPool() { StopWorkers(); }
 
 size_t WorkerPool::threads() const {
   std::lock_guard<std::mutex> lock(mu_);
   return workers_.size() + 1;
 }
 
-void WorkerPool::Resize(size_t threads) {
-  std::lock_guard<std::mutex> submit_lock(submit_mu_);
+void WorkerPool::StopWorkers() {
+  std::vector<std::thread> old;
   {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
+    old.swap(workers_);
   }
   cv_work_.notify_all();
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = false;
-  }
+  for (std::thread& t : old) t.join();
+  std::lock_guard<std::mutex> lock(mu_);
+  stop_ = false;
+}
+
+void WorkerPool::Resize(size_t threads) {
+  std::lock_guard<std::mutex> submit_lock(submit_mu_);
+  StopWorkers();
   const size_t lanes = threads == 0 ? 1 : threads;
+  std::lock_guard<std::mutex> lock(mu_);
   workers_.reserve(lanes - 1);
   for (size_t i = 1; i < lanes; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
   }
 }
 
-void WorkerPool::DrainJob(size_t n, const std::function<void(size_t)>& fn) {
+size_t WorkerPool::RunTasks(Job* job) {
+  size_t ran = 0;
   for (;;) {
-    const size_t idx = job_next_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= n) break;
-    fn(idx);
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    if (job_done_.fetch_add(1, std::memory_order_acq_rel) + 1 == n) {
-      // Last task: wake the submitter (it may be parked in cv_done_).
-      std::lock_guard<std::mutex> lock(mu_);
-      cv_done_.notify_all();
-    }
+    const size_t idx = job->next.fetch_add(1, std::memory_order_relaxed);
+    if (idx >= job->n) break;
+    (*job->fn)(idx);
+    ++ran;
   }
+  tasks_executed_.fetch_add(ran, std::memory_order_relaxed);
+  return ran;
 }
 
 void WorkerPool::WorkerLoop(size_t lane) {
   tls_lane = static_cast<int>(lane);
   uint64_t seen_generation = 0;
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    size_t n = 0;
-    const std::function<void(size_t)>* fn = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_work_.wait(lock, [&] {
-        return stop_ || generation_ != seen_generation;
-      });
-      if (stop_) return;
-      seen_generation = generation_;
-      n = job_n_;
-      fn = job_fn_;
-    }
-    DrainJob(n, *fn);
+    cv_work_.wait(lock, [&] {
+      return stop_ || (job_ != nullptr && generation_ != seen_generation);
+    });
+    if (stop_) return;
+    seen_generation = generation_;
+    Job* job = job_;
+    ++job->inside;
+    lock.unlock();
+    const size_t ran = RunTasks(job);
+    lock.lock();
+    job->done += ran;
+    if (--job->inside == 0) cv_done_.notify_all();
   }
 }
 
@@ -114,31 +91,29 @@ void WorkerPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     inline_run = workers_.empty();
   }
   if (inline_run) {
-    for (size_t i = 0; i < n; ++i) {
-      fn(i);
-      tasks_executed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    for (size_t i = 0; i < n; ++i) fn(i);
+    tasks_executed_.fetch_add(n, std::memory_order_relaxed);
     return;
   }
 
   std::lock_guard<std::mutex> submit_lock(submit_mu_);
+  Job job;
+  job.fn = &fn;
+  job.n = n;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    job_n_ = n;
-    job_fn_ = &fn;
-    job_next_.store(0, std::memory_order_relaxed);
-    job_done_.store(0, std::memory_order_relaxed);
+    job_ = &job;
     ++generation_;
   }
   cv_work_.notify_all();
   // The submitting thread is lane 0 and participates in the drain.
   tls_lane = 0;
-  DrainJob(n, fn);
+  const size_t ran = RunTasks(&job);
   tls_lane = -1;
   std::unique_lock<std::mutex> lock(mu_);
-  cv_done_.wait(lock,
-                [&] { return job_done_.load(std::memory_order_acquire) == n; });
-  job_fn_ = nullptr;
+  job_ = nullptr;  // from here on no worker can join this job
+  job.done += ran;
+  cv_done_.wait(lock, [&] { return job.done == job.n && job.inside == 0; });
 }
 
 WorkerPool& WorkerPool::Global() {

@@ -8,14 +8,14 @@
 #include <functional>
 #include <mutex>
 #include <thread>
-#include <utility>
 #include <vector>
 
 namespace scalein::par {
 
 /// Fixed pool of worker threads executing index-addressed morsels — the
-/// process-wide execution substrate for sharded index probes, per-shard index
-/// builds, and `BoundedEvaluator` batch fan-out.
+/// process-wide execution substrate for batch bounded evaluation
+/// (`EvaluateBatch` / `EvaluateEmbeddedBatch` in both executors), where each
+/// morsel is one whole evaluation.
 ///
 /// The scheduling model is deliberately minimal (morsel-driven, work-stealing
 /// by atomic counter): one job at a time, `n` tasks addressed by index, every
@@ -41,8 +41,8 @@ class WorkerPool {
   /// Total execution lanes (>= 1).
   size_t threads() const;
 
-  /// Joins the current workers and spawns `threads - 1` new ones. Must not be
-  /// called concurrently with ParallelFor.
+  /// Joins the current workers and spawns `threads - 1` new ones. Waits for
+  /// a running ParallelFor to finish first.
   void Resize(size_t threads);
 
   /// Runs fn(0), ..., fn(n-1), each exactly once, and returns when all have
@@ -67,24 +67,35 @@ class WorkerPool {
   static size_t EnvThreads();
 
  private:
+  /// One ParallelFor call. It lives on the submitter's stack: a worker joins
+  /// it only while it is published in `job_` (under mu_), and ParallelFor
+  /// unpublishes it and waits until every task is done and no worker is
+  /// inside before returning, so no worker can run `fn` — or touch the
+  /// counters — of a call that has already returned.
+  struct Job {
+    const std::function<void(size_t)>* fn = nullptr;
+    size_t n = 0;
+    std::atomic<size_t> next{0};  ///< next unclaimed task index
+    size_t done = 0;              ///< tasks completed; guarded by mu_
+    size_t inside = 0;            ///< workers in RunTasks; guarded by mu_
+  };
+
   void WorkerLoop(size_t lane);
-  /// Drains tasks of the current job generation on the calling thread.
-  void DrainJob(size_t n, const std::function<void(size_t)>& fn);
+  /// Claims and runs tasks of `job` on the calling thread until none are
+  /// left; returns how many it ran.
+  size_t RunTasks(Job* job);
+  /// Stops and joins every worker; the pool is then sequential.
+  void StopWorkers();
 
   mutable std::mutex mu_;
-  std::condition_variable cv_work_;   ///< workers wait for a new generation
-  std::condition_variable cv_done_;   ///< submitter waits for job completion
-  std::mutex submit_mu_;              ///< serializes concurrent submitters
-  std::vector<std::thread> workers_;
-  bool stop_ = false;
-
-  // Current job. Publication (generation bump + fn/n install) happens under
-  // mu_; task claiming and completion counting are lock-free atomics.
-  uint64_t generation_ = 0;
-  size_t job_n_ = 0;
-  const std::function<void(size_t)>* job_fn_ = nullptr;
-  std::atomic<size_t> job_next_{0};
-  std::atomic<size_t> job_done_{0};
+  std::condition_variable cv_work_;   ///< workers wait for a published job
+  std::condition_variable cv_done_;   ///< submitter waits for its job
+  std::vector<std::thread> workers_;  ///< guarded by mu_
+  bool stop_ = false;                 ///< guarded by mu_
+  Job* job_ = nullptr;       ///< the published job, if any; guarded by mu_
+  uint64_t generation_ = 0;  ///< bumped per published job so a worker joins
+                             ///< each job at most once; guarded by mu_
+  std::mutex submit_mu_;     ///< serializes submitters and Resize
 
   std::atomic<uint64_t> tasks_executed_{0};
   std::atomic<uint64_t> parallel_for_calls_{0};
@@ -94,11 +105,6 @@ class WorkerPool {
 /// currently submitting/draining a ParallelFor, 1..threads-1 inside a worker,
 /// -1 outside any pool activity. Used for per-worker span/metric labels.
 int CurrentLane();
-
-/// Splits [0, total) into at most `max_pieces` near-equal contiguous
-/// [begin, end) ranges — the morsel boundaries for range-parallel loops.
-std::vector<std::pair<size_t, size_t>> SplitRanges(size_t total,
-                                                   size_t max_pieces);
 
 }  // namespace scalein::par
 

@@ -48,49 +48,6 @@ void HashIndex::MoveRow(TupleView row, uint32_t old_id, uint32_t new_id) {
   *pos = new_id;
 }
 
-ShardedHashIndex::ShardedHashIndex(std::vector<size_t> positions,
-                                   size_t num_shards)
-    : positions_(std::move(positions)) {
-  SI_CHECK_GE(num_shards, 1u);
-  shards_.reserve(num_shards);
-  for (size_t s = 0; s < num_shards; ++s) shards_.emplace_back(positions_);
-}
-
-size_t ShardedHashIndex::NumKeys() const {
-  size_t total = 0;
-  for (const HashIndex& shard : shards_) total += shard.NumKeys();
-  return total;
-}
-
-size_t ShardedHashIndex::MaxBucketSize() const {
-  size_t best = 0;
-  for (const HashIndex& shard : shards_) {
-    best = std::max(best, shard.MaxBucketSize());
-  }
-  return best;
-}
-
-size_t ShardedHashIndex::ShardOfRow(TupleView row) const {
-  scratch_.resize(positions_.size());
-  for (size_t i = 0; i < positions_.size(); ++i) {
-    scratch_[i] = row[positions_[i]];
-  }
-  return ShardOf(scratch_);
-}
-
-void ShardedHashIndex::AddRow(TupleView row, uint32_t row_id) {
-  shards_[ShardOfRow(row)].AddRow(row, row_id);
-}
-
-void ShardedHashIndex::RemoveRow(TupleView row, uint32_t row_id) {
-  shards_[ShardOfRow(row)].RemoveRow(row, row_id);
-}
-
-void ShardedHashIndex::MoveRow(TupleView row, uint32_t old_id,
-                               uint32_t new_id) {
-  shards_[ShardOfRow(row)].MoveRow(row, old_id, new_id);
-}
-
 std::vector<Tuple> ProjectionIndex::Lookup(const Tuple& key) const {
   std::vector<Tuple> out;
   auto it = groups_.find(key);

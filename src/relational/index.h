@@ -36,8 +36,8 @@ class HashIndex {
   size_t NumKeys() const { return buckets_.size(); }
 
   /// Pre-sizes the bucket table for an upper bound of `rows` distinct keys.
-  /// Call before bulk builds (EnsureIndex, Relation::Shard) so loading a
-  /// large relation is one allocation instead of a rehash storm.
+  /// Call before bulk builds (EnsureIndex) so loading a large relation is
+  /// one allocation instead of a rehash storm.
   void ReserveRows(size_t rows) { buckets_.reserve(rows); }
 
   /// Size of the largest bucket: the empirical N of (R, X, N, T).
@@ -60,51 +60,6 @@ class HashIndex {
 
   std::vector<size_t> positions_;
   std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash, TupleEq> buckets_;
-  mutable Tuple scratch_;
-};
-
-/// Hash-sharded variant of HashIndex: the key space is partitioned into
-/// `num_shards` sub-indexes by the key's hash, so a probe touches exactly one
-/// shard and shard builds/scans decompose into independent morsels for the
-/// worker pool (src/par). Lookup answers and maintenance semantics are
-/// identical to a single HashIndex on the same positions — sharding is a
-/// physical layout choice, invisible to accounting.
-class ShardedHashIndex {
- public:
-  /// `positions` must be canonical (sorted, deduplicated); `num_shards` >= 1.
-  ShardedHashIndex(std::vector<size_t> positions, size_t num_shards);
-
-  const std::vector<size_t>& positions() const { return positions_; }
-  size_t num_shards() const { return shards_.size(); }
-
-  /// The shard a key (values in `positions()` order) routes to.
-  size_t ShardOf(TupleView key) const {
-    return static_cast<size_t>(HashTuple(key) % shards_.size());
-  }
-
-  /// Same contract as HashIndex::Lookup; probes only the owning shard.
-  const std::vector<uint32_t>* Lookup(TupleView key) const {
-    return shards_[ShardOf(key)].Lookup(key);
-  }
-
-  /// Direct shard access, for per-shard morsel builds and stats.
-  HashIndex& shard(size_t s) { return shards_[s]; }
-  const HashIndex& shard(size_t s) const { return shards_[s]; }
-
-  size_t NumKeys() const;        ///< total distinct keys across shards
-  size_t MaxBucketSize() const;  ///< max bucket across shards (empirical N)
-
-  // Maintenance hooks, called by Relation; each routes by the row's key.
-  void AddRow(TupleView row, uint32_t row_id);
-  void RemoveRow(TupleView row, uint32_t row_id);
-  void MoveRow(TupleView row, uint32_t old_id, uint32_t new_id);
-
- private:
-  /// Shard owning `row`'s key (projected into a reused scratch buffer).
-  size_t ShardOfRow(TupleView row) const;
-
-  std::vector<size_t> positions_;
-  std::vector<HashIndex> shards_;
   mutable Tuple scratch_;
 };
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "par/worker_pool.h"
-
 namespace scalein {
 
 std::vector<size_t> Relation::CanonicalPositions(
@@ -37,7 +35,6 @@ bool Relation::Insert(TupleView t) {
   ++num_rows_;
   TupleView row = TupleAt(id);
   for (auto& [positions, idx] : indexes_) idx->AddRow(row, id);
-  for (auto& [positions, sidx] : sharded_indexes_) sidx->AddRow(row, id);
   for (auto& [key, pidx] : projection_indexes_) pidx->AddRow(row);
   return true;
 }
@@ -53,18 +50,12 @@ bool Relation::Remove(TupleView t) {
 
   Tuple victim_content = ToTuple(TupleAt(victim));
   for (auto& [positions, idx] : indexes_) idx->RemoveRow(victim_content, victim);
-  for (auto& [positions, sidx] : sharded_indexes_) {
-    sidx->RemoveRow(victim_content, victim);
-  }
   for (auto& [key, pidx] : projection_indexes_) pidx->RemoveRow(victim_content);
 
   if (victim != last) {
     Tuple moved_content = ToTuple(TupleAt(last));
     for (auto& [positions, idx] : indexes_) {
       idx->MoveRow(moved_content, last, victim);
-    }
-    for (auto& [positions, sidx] : sharded_indexes_) {
-      sidx->MoveRow(moved_content, last, victim);
     }
     std::copy(moved_content.begin(), moved_content.end(),
               data_.begin() + victim * arity_);
@@ -101,52 +92,6 @@ const HashIndex* Relation::FindIndex(
   return it == indexes_.end() ? nullptr : it->second.get();
 }
 
-void Relation::Shard(size_t num_shards) {
-  sharded_indexes_.clear();
-  num_shards_ = num_shards <= 1 ? 0 : num_shards;
-}
-
-const ShardedHashIndex& Relation::EnsureShardedIndex(
-    const std::vector<size_t>& positions) const {
-  SI_CHECK_GE(num_shards_, 2u);
-  std::vector<size_t> c = CanonicalPositions(positions);
-  for (size_t p : c) SI_CHECK_LT(p, arity_);
-  auto it = sharded_indexes_.find(c);
-  if (it != sharded_indexes_.end()) return *it->second;
-  auto idx = std::make_unique<ShardedHashIndex>(c, num_shards_);
-
-  // Each shard owns a disjoint slice of the key space, so shard builds are
-  // independent morsels: every lane scans all rows but inserts only the rows
-  // whose key hashes to its shard.
-  for (size_t s = 0; s < num_shards_; ++s) {
-    idx->shard(s).ReserveRows(num_rows_ / num_shards_ + 1);
-  }
-  ShardedHashIndex* raw = idx.get();
-  par::WorkerPool::Global().ParallelFor(num_shards_, [&](size_t s) {
-    Tuple key;
-    key.resize(raw->positions().size());
-    for (size_t i = 0; i < num_rows_; ++i) {
-      TupleView row = TupleAt(i);
-      for (size_t j = 0; j < raw->positions().size(); ++j) {
-        key[j] = row[raw->positions()[j]];
-      }
-      if (raw->ShardOf(key) == s) {
-        raw->shard(s).AddRow(row, static_cast<uint32_t>(i));
-      }
-    }
-  });
-
-  const ShardedHashIndex& ref = *idx;
-  sharded_indexes_.emplace(std::move(c), std::move(idx));
-  return ref;
-}
-
-const ShardedHashIndex* Relation::FindShardedIndex(
-    const std::vector<size_t>& positions) const {
-  auto it = sharded_indexes_.find(CanonicalPositions(positions));
-  return it == sharded_indexes_.end() ? nullptr : it->second.get();
-}
-
 const ProjectionIndex& Relation::EnsureProjectionIndex(
     const std::vector<size_t>& key_positions,
     const std::vector<size_t>& value_positions) const {
@@ -176,7 +121,6 @@ Relation Relation::Clone() const {
   Relation copy(arity_);
   copy.data_ = data_;
   copy.num_rows_ = num_rows_;
-  copy.num_shards_ = num_shards_;
   return copy;
 }
 

@@ -45,17 +45,11 @@ struct PositionsPairHash {
 /// so applying a small update to a large indexed relation costs O(|update|),
 /// which the incremental-scale-independence benchmarks rely on.
 ///
-/// Sharded mode (`Shard(k)`): the relation additionally maintains hash-sharded
-/// indexes (`EnsureShardedIndex`) whose key space is partitioned into k
-/// sub-indexes by key hash. Index probes then touch exactly one shard, and
-/// shard builds decompose into independent per-shard morsels executed on the
-/// worker pool (src/par). Content, set semantics, and plain indexes are
-/// unaffected — sharding changes physical layout only.
-///
 /// Thread-safety: all mutating members (including the const-but-caching
 /// Ensure* index builders) require exclusive access. Concurrent readers are
-/// safe once the indexes they probe exist — parallel evaluation paths
-/// prebuild every index a plan names before fanning out.
+/// safe once the indexes they probe exist — batch evaluation prebuilds every
+/// index its plans name before fanning out, and the server builds every
+/// access-schema index before it accepts queries.
 class Relation {
  public:
   explicit Relation(size_t arity) : arity_(arity) {}
@@ -108,25 +102,6 @@ class Relation {
       const std::vector<size_t>& key_positions,
       const std::vector<size_t>& value_positions) const;
 
-  // --- Sharding (morsel-parallel physical layout) ---
-
-  /// Enables hash-sharded index mode with `num_shards` shards (>= 2), or
-  /// disables it (0 or 1). Existing sharded indexes are dropped and rebuild
-  /// on demand with the new shard count; plain indexes are untouched.
-  void Shard(size_t num_shards);
-
-  /// Number of index shards; 0 when sharding is disabled.
-  size_t num_shards() const { return num_shards_; }
-
-  /// Ensures a sharded hash index on `positions` (canonicalized); requires
-  /// `num_shards() >= 2`. The per-shard builds run as morsels on the global
-  /// worker pool.
-  const ShardedHashIndex& EnsureShardedIndex(
-      const std::vector<size_t>& positions) const;
-
-  const ShardedHashIndex* FindShardedIndex(
-      const std::vector<size_t>& positions) const;
-
   /// Sorted + deduplicated copy of `positions` — the canonical index
   /// descriptor every index registry is keyed by. Exposed so evaluation
   /// plans can compute an index's key layout without forcing a build.
@@ -155,15 +130,11 @@ class Relation {
 
   size_t arity_;
   size_t num_rows_ = 0;
-  size_t num_shards_ = 0;
   std::vector<Value> data_;
   // Keyed by canonicalized positions. unique_ptr for pointer stability.
   mutable std::unordered_map<std::vector<size_t>, std::unique_ptr<HashIndex>,
                              PositionsHash>
       indexes_;
-  mutable std::unordered_map<std::vector<size_t>,
-                             std::unique_ptr<ShardedHashIndex>, PositionsHash>
-      sharded_indexes_;
   mutable std::unordered_map<
       std::pair<std::vector<size_t>, std::vector<size_t>>,
       std::unique_ptr<ProjectionIndex>, PositionsPairHash>

@@ -141,8 +141,9 @@ void MetricsHttp::Serve(int fd) {
   registry_->GetCounter("serve.scrapes").Increment();
   size_t written = 0;
   while (written < response.size()) {
-    const ssize_t w =
-        ::write(fd, response.data() + written, response.size() - written);
+    // MSG_NOSIGNAL: a scraper that hung up costs only its own connection.
+    const ssize_t w = ::send(fd, response.data() + written,
+                             response.size() - written, MSG_NOSIGNAL);
     if (w <= 0) break;
     written += static_cast<size_t>(w);
   }

@@ -116,8 +116,11 @@ void Port::Serve(int fd, uint64_t conn_id) {
       }
       size_t written = 0;
       while (written < frame.size()) {
-        const ssize_t w =
-            ::write(fd, frame.data() + written, frame.size() - written);
+        // MSG_NOSIGNAL: writing to a peer that already closed fails with
+        // EPIPE and ends this connection, instead of raising SIGPIPE and
+        // killing the whole server.
+        const ssize_t w = ::send(fd, frame.data() + written,
+                                 frame.size() - written, MSG_NOSIGNAL);
         if (w <= 0) {
           closing = true;
           break;

@@ -14,10 +14,11 @@
 namespace scalein::serve {
 
 /// The TCP front door: accepts connections on a loopback port and pumps
-/// each one through Server::HandleLine — one OS thread per connection (the
-/// engine's morsel fan-out provides intra-query parallelism; connection
-/// threads mostly block on the socket or in the admission queue). Requests
-/// are newline-terminated lines, responses are serve/message.h frames.
+/// each one through Server::HandleLine — one OS thread per connection, so
+/// admitted queries of different connections run in parallel up to the
+/// server's run slots (connection threads otherwise block on the socket or
+/// in the admission queue). Requests are newline-terminated lines,
+/// responses are serve/message.h frames.
 ///
 /// Failure injection: `serve_accept`, `serve_read`, and `serve_write`
 /// failpoint sites fire per accepted connection / read chunk / written

@@ -77,9 +77,7 @@ Status Server::Start() {
                      : par::WorkerPool::Global().threads();
   if (max_running_ == 0) max_running_ = 1;
   if (options_.sla.server_fetch_capacity > 0) {
-    // lanes=0: the ledger's capacity is exactly the SLA figure — session
-    // leases are reservations, not charge streams, so no overdraft slack.
-    ledger_.Init(options_.sla.server_fetch_capacity, /*lanes=*/0);
+    ledger_.Init(options_.sla.server_fetch_capacity);
   }
   // Structured access log: Options wins; otherwise the same env-var pattern
   // as the shell's SCALEIN_JOURNAL_PATH.

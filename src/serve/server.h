@@ -19,18 +19,18 @@
 namespace scalein::serve {
 
 /// The multi-session front end: multiplexes concurrent client sessions onto
-/// the engine (each evaluation internally fans out over par::WorkerPool),
-/// with every session wrapped in a SessionEnvelope lease carved from a
-/// server-wide exec::SharedLedger and every arriving query passed through
-/// the bound-based admission controller (serve/admission.h).
+/// the engine, with every session wrapped in a SessionEnvelope lease carved
+/// from a server-wide exec::SharedLedger and every arriving query passed
+/// through the bound-based admission controller (serve/admission.h).
 ///
 /// Concurrency model: admission decisions, queueing, and envelope accounting
 /// happen under one mutex — decisions are serialized, which is what makes
 /// them deterministic for a fixed arrival script. Evaluations drop the lock
 /// and run on the *calling* thread (one per connection in port.cc, one per
-/// worker in bench_serve); the engine's own morsel fan-out provides the
-/// parallelism. A queued caller blocks in Submit on the bounded FIFO until a
-/// run slot frees or its queue-timeout lapses.
+/// worker in bench_serve); the parallelism is up to max_running admitted
+/// queries at once, each one sequential walk. A queued caller blocks in
+/// Submit on the bounded FIFO until a run slot frees or its queue-timeout
+/// lapses.
 ///
 /// Every admission verdict that refuses work (reject, queue-timeout shed) is
 /// sealed into the journal as a tripped certificate whose trip_reason

@@ -18,7 +18,6 @@
 #include <random>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/bounded_eval.h"
@@ -341,11 +340,8 @@ TEST(ChaosTest, ConcurrentUpdatesVersusQueriesKeepAccountingExact) {
   // mutate `friend` under the exclusive lock. Relation is not reader-safe
   // during mutation, so the readers/writers contract *is* the lock — this
   // test (run under TSan in CI) pins down that the library side (interner,
-  // metered sharded probes, per-context accounting) is race-free under it.
+  // metered probes, per-context accounting) is race-free under it.
   Social social(80, 7);
-  for (const char* rel : {"friend", "person"}) {
-    social.db.relation(rel).Shard(4);
-  }
   Result<FoQuery> q1 = ParseFoQuery(
       "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
       &social.schema);
@@ -412,91 +408,6 @@ TEST(ChaosTest, ConcurrentUpdatesVersusQueriesKeepAccountingExact) {
   Result<double> bound = analysis->StaticFetchBound({V("p")});
   ASSERT_TRUE(bound.ok());
   EXPECT_LE(static_cast<double>(stats.base_tuples_fetched), *bound);
-}
-
-TEST(ChaosTest, GovernedParallelFanOutSurvivesFailpointsAndUpdates) {
-  // The sub-budget lease/replay protocol under simultaneous stress: each
-  // iteration runs a governor-armed evaluation whose conjunct frontier fans
-  // out on the 4-lane global pool, with failpoints armed inside the metered
-  // worker paths, while a free-running writer thread grows the frontier
-  // under the exclusive side of the readers/writers lock. The TSan CI lane
-  // runs this schedule; the soundness contract is the usual chaos one —
-  // exact golden answer, a sound partial subset, or a typed error.
-  Schema schema;
-  schema.Relation("friend", {"a", "b"});
-  schema.Relation("person", {"id", "name", "city"});
-  Database db(schema);
-  for (int64_t k = 0; k < 64; ++k) {
-    db.Insert("friend", Tuple{Value::Int(0), Value::Int(k)});
-    db.Insert("person",
-              Tuple{Value::Int(k), Value::Str("n" + std::to_string(k)),
-                    Value::Str(k % 2 == 0 ? "NYC" : "LA")});
-  }
-  AccessSchema access;
-  access.Add("friend", {"a"}, 4096);
-  access.AddKey("person", {"id"});
-  ASSERT_TRUE(access.BuildIndexes(&db, schema).ok());
-  Result<FoQuery> q = ParseFoQuery(
-      "Q(p, b, name) := friend(p, b) and person(b, name, \"NYC\")", &schema);
-  ASSERT_TRUE(q.ok());
-  Result<ControllabilityAnalysis> analysis =
-      ControllabilityAnalysis::Analyze(q->body, schema, access);
-  ASSERT_TRUE(analysis.ok());
-  Binding params{{V("p"), Value::Int(0)}};
-
-  par::WorkerPool::Global().Resize(4);
-  std::shared_mutex db_mu;
-  std::atomic<bool> stop{false};
-  // The writer only adds LA persons, so the golden answer set (the NYC
-  // filter) is invariant while the fetch frontier — and therefore every
-  // trip position — keeps moving.
-  std::thread writer([&] {
-    int64_t next = 100000;
-    while (!stop.load(std::memory_order_relaxed)) {
-      {
-        std::unique_lock<std::shared_mutex> lock(db_mu);
-        db.Insert("friend", Tuple{Value::Int(0), Value::Int(next)});
-        db.Insert("person", Tuple{Value::Int(next), Value::Str("w"),
-                                  Value::Str("LA")});
-        ++next;
-      }
-      std::this_thread::yield();
-    }
-  });
-
-  for (int i = 0; i < 40; ++i) {
-    const std::string spec = RandomSchedule(7000 + i);
-    AnswerSet golden;
-    {
-      std::shared_lock<std::shared_mutex> lock(db_mu);
-      BoundedEvaluator plain(&db);
-      Result<AnswerSet> g = plain.Evaluate(*q, *analysis, params);
-      ASSERT_TRUE(g.ok()) << g.status().ToString();
-      golden = *std::move(g);
-    }
-    ScheduleScope scope(spec);
-    BoundedEvaluator evaluator(&db);
-    exec::GovernorLimits limits;
-    limits.fetch_budget = 1 + static_cast<uint64_t>((i * 13) % 200);
-    evaluator.set_limits(limits);
-    std::shared_lock<std::shared_mutex> lock(db_mu);
-    Result<exec::Degraded<AnswerSet>> degraded =
-        evaluator.EvaluateDegraded(*q, *analysis, params);
-    if (degraded.ok()) {
-      EXPECT_TRUE(std::includes(golden.begin(), golden.end(),
-                                degraded->value.begin(),
-                                degraded->value.end()))
-          << spec;
-      if (degraded->complete) {
-        EXPECT_EQ(degraded->value, golden) << spec;
-      }
-    } else {
-      ExpectChaosStatus(degraded.status(), spec);
-    }
-  }
-  stop.store(true);
-  writer.join();
-  par::WorkerPool::Global().Resize(1);
 }
 
 TEST(ChaosTest, DecisionProceduresDegradeToUnknownUnderFaults) {

@@ -215,6 +215,54 @@ TEST(CompiledVmTest, FetchBudgetTripsAreByteIdentical) {
   }
 }
 
+// A deadline already past, or a token already cancelled, when evaluation
+// starts: the governor observes it at its first amortized time check (probe
+// kCheckInterval), so the trip position is deterministic and both engines
+// must agree on it byte for byte. Person 0 has 400 friends, so the walk is
+// far past that probe when the limit fires.
+TEST(CompiledVmTest, PreExpiredDeadlineAndCancelTripsAreByteIdentical) {
+  Schema s;
+  s.Relation("friend", {"a", "b"});
+  s.Relation("person", {"id", "name", "city"});
+  Database db(s);
+  for (int64_t k = 0; k < 400; ++k) {
+    db.Insert("friend", Tuple{Value::Int(0), Value::Int(k)});
+    db.Insert("person",
+              Tuple{Value::Int(k), Value::Str("n" + std::to_string(k)),
+                    Value::Str(k % 2 == 0 ? "NYC" : "LA")});
+  }
+  AccessSchema access;
+  access.Add("friend", {"a"}, 512);
+  access.AddKey("person", {"id"});
+  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  FoQuery q =
+      FQ("Q(p, b, name) := friend(p, b) and person(b, name, \"NYC\")", s);
+  std::shared_ptr<const ControllabilityAnalysis> analysis =
+      Analyze(q, s, access);
+  const Binding params{{V("p"), Value::Int(0)}};
+
+  exec::GovernorLimits deadline;
+  deadline.deadline_ns = 1;  // absolute, long past
+  exec::GovernorLimits cancelled;
+  cancelled.has_cancel = true;
+  cancelled.cancel.Cancel();
+  const std::pair<exec::GovernorLimits, exec::LimitKind> cases[] = {
+      {deadline, exec::LimitKind::kDeadline},
+      {cancelled, exec::LimitKind::kCancelled},
+  };
+  for (const auto& [limits, kind] : cases) {
+    BoundedEvaluator interp(&db);
+    interp.set_limits(limits);
+    Result<exec::Degraded<AnswerSet>> r =
+        interp.EvaluateDegraded(q, *analysis, params);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_FALSE(r->complete);
+    EXPECT_EQ(r->trip.kind, kind);
+    ExpectPlainDifferentialEqual(q, analysis, &db, params, limits,
+                                 /*enforce=*/false);
+  }
+}
+
 TEST(CompiledVmTest, OutputRowCapTripsAreByteIdentical) {
   Social social(120);
   FoQuery q1 = FQ(
@@ -295,9 +343,10 @@ TEST(CompiledVmTest, PropertyShapesDifferential) {
   }
 }
 
-TEST(CompiledVmTest, WideFrontierFanOutDifferential) {
-  // ≥ 16 partial bindings after the first expand forces the governed morsel
-  // fan-out at threads=4; accounting must still be byte-identical.
+TEST(CompiledVmTest, WideFrontierDifferential) {
+  // 40 partial bindings after the first expand, each probing the second
+  // leaf; accounting must be byte-identical, clean and under budgets that
+  // trip part-way through the expansion.
   Schema s;
   s.Relation("r", {"a", "b"});
   s.Relation("t", {"a", "b"});
@@ -315,7 +364,7 @@ TEST(CompiledVmTest, WideFrontierFanOutDifferential) {
       Analyze(q, s, access);
   ExpectPlainDifferentialEqual(q, analysis, &db, {{V("x"), Value::Int(1)}},
                                {}, /*enforce=*/false);
-  // And under a budget that trips mid-fan-out.
+  // And under budgets that trip mid-expansion.
   for (uint64_t budget : {uint64_t{5}, uint64_t{20}, uint64_t{45}}) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;

@@ -198,6 +198,45 @@ TEST(GovernorTest, CancellationFromAnotherThreadStopsChargeLoop) {
   EXPECT_EQ(governor.trip().kind, LimitKind::kCancelled);
 }
 
+TEST(SharedLedgerTest, AcquireGrantsUpToCapacityThenZero) {
+  SharedLedger ledger;
+  EXPECT_TRUE(ledger.unlimited());
+  EXPECT_EQ(ledger.Acquire(1000), 1000u);  // unlimited: granted in full
+  ledger.Init(228);
+  EXPECT_FALSE(ledger.unlimited());
+  EXPECT_EQ(ledger.Acquire(200), 200u);
+  EXPECT_EQ(ledger.Acquire(200), 28u);  // partial final grant
+  EXPECT_EQ(ledger.Acquire(1), 0u);     // exhausted
+}
+
+// Release() is the serve-layer refund path: a session envelope returns the
+// unspent part of its lease when a query finishes (or the whole lease when
+// the session closes), making the units acquirable again.
+TEST(SharedLedgerTest, ReleaseRefundsUnspentLeaseUnits) {
+  SharedLedger ledger;
+  ledger.Init(100);
+  EXPECT_EQ(ledger.Acquire(100), 100u);
+  EXPECT_EQ(ledger.Acquire(1), 0u);  // drained
+  ledger.Release(60);                // refund the unspent part of the lease
+  EXPECT_EQ(ledger.Acquire(100), 60u);
+  EXPECT_EQ(ledger.Acquire(1), 0u);
+}
+
+TEST(SharedLedgerTest, ReleaseClampsAtCapacityAndIgnoresUnlimited) {
+  SharedLedger unlimited;
+  unlimited.Release(1ULL << 40);  // no-op: unlimited ledger has no pool
+  EXPECT_TRUE(unlimited.unlimited());
+  EXPECT_EQ(unlimited.Acquire(7), 7u);
+
+  SharedLedger ledger;
+  ledger.Init(10);
+  EXPECT_EQ(ledger.Acquire(10), 10u);
+  // An over-refund (buggy caller double-releasing) must not mint new budget
+  // beyond what was actually reserved.
+  ledger.Release(1000);
+  EXPECT_EQ(ledger.Acquire(1000), 10u);  // exactly the legitimate 10 return
+}
+
 TEST(GovernorTest, TripInfoRendersKindAndDetail) {
   ResourceGovernor governor;
   GovernorLimits limits;

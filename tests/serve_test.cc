@@ -66,7 +66,7 @@ TEST(DecideAdmissionTest, FractionalBoundRoundsUp) {
 // The GovernorLimits footgun the controller must dodge: fetch_budget=0 means
 // *disabled*, so a zero-bound query admitted from a finite envelope must get
 // a sub-budget of at least 1 — never an accidentally-unlimited run.
-TEST(DecideAdmissionTest, ZeroBoundClampsSubBudgetToOne) {
+TEST(DecideAdmissionTest, ZeroBoundClampsBudgetToOne) {
   AdmissionDecision d = DecideAdmission(Arriving(0, 1000), BaseSla());
   EXPECT_EQ(d.action, AdmitAction::kAdmit);
   EXPECT_EQ(d.sub_budget, 1u);
@@ -210,7 +210,7 @@ TEST(SessionEnvelopeTest, ZeroLeaseIsUnlimited) {
 
 TEST(SessionEnvelopeTest, LeaseCarvedFromLedgerAndReleasedOnClose) {
   exec::SharedLedger ledger;
-  ledger.Init(150, 0);  // capacity exactly 150
+  ledger.Init(150);
   {
     SessionEnvelope a("a", 1, 100, &ledger);
     EXPECT_EQ(a.lease(), 100u);
@@ -522,6 +522,72 @@ TEST(PortTest, TcpRoundTripThroughFrames) {
   EXPECT_NE(frames[2].second.find("invalid-argument"), std::string::npos);
   EXPECT_TRUE(frames[3].first);  // bye
   EXPECT_EQ(port.accepted(), 1u);
+}
+
+// A client that pipelines requests and closes before reading a single
+// response must cost only its own connection. Its close() sends FIN; the
+// server's first response then draws an RST, and the next write fails with
+// EPIPE — which must not raise SIGPIPE (that would kill this test binary
+// and, in scalein_served, the whole server). A serve_write delay holds every
+// response until the client is gone. The next client still gets a full
+// round trip.
+TEST(PortTest, ClientClosingBeforeReadingCostsOnlyItsConnection) {
+  // Declared first so it disarms only after the port joined its threads.
+  struct FailpointGuard {
+    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
+  } fp_guard;
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  Port port(&server, Port::Options{});
+  Status listening = port.Listen();
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
+  }
+  ASSERT_TRUE(
+      util::Failpoints::Global().Configure("serve_write=delay(20ms)").ok());
+  auto dial = [&port]() {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  };
+  {
+    const int fd = dial();
+    std::string request = "hello\n";
+    for (int i = 0; i < 8; ++i) request += std::string(kFriendEval) + "\n";
+    ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+              static_cast<ssize_t>(request.size()));
+    ::close(fd);
+  }
+  const int fd = dial();
+  const std::string request = std::string("hello\n") + kFriendEval + "\nbye\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  FrameDecoder decoder;
+  std::vector<std::pair<bool, std::string>> frames;
+  char buf[4096];
+  while (frames.size() < 3) {
+    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+    bool ok;
+    std::string payload;
+    while (decoder.Next(&ok, &payload)) frames.emplace_back(ok, payload);
+  }
+  ::close(fd);
+  port.Shutdown();
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_TRUE(frames[0].first);
+  EXPECT_TRUE(frames[1].first);
+  EXPECT_NE(frames[1].second.find("2 answers"), std::string::npos);
+  EXPECT_TRUE(frames[2].first);
+  EXPECT_EQ(port.accepted(), 2u);
 }
 
 TEST(PortTest, AcceptFailpointDropsConnectionNotServer) {
