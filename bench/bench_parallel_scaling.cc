@@ -19,8 +19,6 @@
 #include "core/analysis_cache.h"
 #include "core/bounded_eval.h"
 #include "core/controllability.h"
-#include "exec/compiler.h"
-#include "exec/vm.h"
 #include "obs/journal.h"
 #include "par/worker_pool.h"
 #include "query/parser.h"
@@ -80,20 +78,8 @@ int main() {
   }
 
   BoundedEvaluator evaluator(&db);
-  // Compiled twin: the same batch through the bytecode VM (exec/vm.h) must
-  // scale identically and keep byte-identical accounting at every width.
-  Result<ControllabilityAnalysis> reanalysis =
-      ControllabilityAnalysis::Analyze(q1->body, schema, access);
-  SI_CHECK(reanalysis.ok());
-  auto shared_analysis =
-      std::make_shared<const ControllabilityAnalysis>(*std::move(reanalysis));
-  Result<std::shared_ptr<const exec::CompiledProgram>> program =
-      exec::CompilePlain(*q1, shared_analysis, {p});
-  SI_CHECK(program.ok());
-  exec::PrebuildCompiledIndexes(db, **program);
-  exec::CompiledEvaluator vm(&db);
-  TablePrinter table({"threads", "batch ms", "compiled ms", "queries/s",
-                      "fetches", "index lookups", "verdict"});
+  TablePrinter table({"threads", "batch ms", "queries/s", "fetches",
+                      "index lookups", "verdict"});
   par::WorkerPool& pool = par::WorkerPool::Global();
   uint64_t fetches_at_1 = 0;
   for (size_t threads : {1u, 2u, 4u, 8u}) {
@@ -108,24 +94,6 @@ int main() {
         (void)evaluator.EvaluateBatch(*q1, *analysis, batch, nullptr);
       }));
     }
-    // Compiled lane: identical batch through the VM — answers and fetch
-    // accounting must match the interpreter at this thread count exactly.
-    BoundedEvalStats compiled_stats;
-    std::vector<Result<AnswerSet>> compiled_results =
-        vm.EvaluateBatch(**program, batch, &compiled_stats);
-    SI_CHECK(compiled_results.size() == results.size());
-    for (size_t i = 0; i < results.size(); ++i) {
-      SI_CHECK(compiled_results[i].ok());
-      SI_CHECK(*compiled_results[i] == *results[i]);
-    }
-    SI_CHECK(compiled_stats.base_tuples_fetched == stats.base_tuples_fetched);
-    SI_CHECK(compiled_stats.index_lookups == stats.index_lookups);
-    double compiled_ms = std::numeric_limits<double>::infinity();
-    for (int rep = 0; rep < 3; ++rep) {
-      compiled_ms = std::min(compiled_ms, MeasureMs([&] {
-        (void)vm.EvaluateBatch(**program, batch, nullptr);
-      }));
-    }
     // The batch-level Theorem 4.2 bound: each of the kBatch evaluations
     // fetches at most M tuples.
     const double batch_bound = *per_query_bound * static_cast<double>(kBatch);
@@ -137,16 +105,12 @@ int main() {
     SI_CHECK(stats.base_tuples_fetched == fetches_at_1);
 
     table.AddRow({std::to_string(threads), FormatDouble(batch_ms, 3),
-                  FormatDouble(compiled_ms, 3),
                   FormatCount(static_cast<uint64_t>(kBatch / (batch_ms / 1e3))),
                   FormatCount(stats.base_tuples_fetched),
                   FormatCount(stats.index_lookups), verdict});
     std::string prefix = "threads_" + std::to_string(threads) + ".";
     report.Add(prefix + "threads", static_cast<uint64_t>(threads));
     report.Add(prefix + "batch_ms", batch_ms);
-    report.Add(prefix + "compiled_batch_ms", compiled_ms);
-    report.Add(prefix + "compiled_base_tuples_fetched",
-               compiled_stats.base_tuples_fetched);
     report.Add(prefix + "base_tuples_fetched", stats.base_tuples_fetched);
     report.Add(prefix + "index_lookups", stats.index_lookups);
     report.Add(prefix + "static_bound", batch_bound);

@@ -15,7 +15,7 @@ Two modes:
   Bound-check mode — verify invariants inside one or more sidecars:
       bench_regress.py --check-bounds a.json [b.json ...] [--overhead-pct 3]
   Violations are accumulated across *all* sidecars and printed together
-  before the script exits non-zero, so a compiled regression and a serve
+  before the script exits non-zero, so a bound regression and a serve
   regression landing in the same PR surface in one CI run instead of two.
   Checks that every measured fetch count stays within its recorded static
   Theorem 4.2 bound (``base_tuples_fetched <= static_bound`` per scale, and
@@ -36,13 +36,6 @@ Two modes:
   4 hardware threads and still run them on one CPU); and a warm
   analysis-cache lookup (``cache.warm_analysis_ms``) must be >= 5x cheaper
   than a cold derivation.
-
-  Sidecars carrying ``compiled.*`` keys (bench_compiled) gate the bytecode
-  VM: ``compiled.plain_speedup`` must be >= 1.5 (the repeated-query serve
-  path is the tentpole claim), ``compiled.embedded_speedup`` must be >= 1.0
-  (the Proposition 4.5 chase is index-probe-bound, so the VM's win is
-  smaller there — but it must never regress), and ``compiled.certs_equal``
-  must be 1 (sealed certificate payloads byte-identical across engines).
 
 Exit status: 0 clean, 1 regression/violation, 2 usage or unreadable input.
 """
@@ -180,38 +173,6 @@ def check_bounds_one(path, overhead_pct):
                 f"plain batch (need <= {overhead_pct:g}% + 1 ms cushion)")
 
     failures += check_thread_scaling(metrics, groups)
-    failures += check_compiled(metrics)
-    return failures
-
-
-def check_compiled(metrics):
-    """Gates for sidecars with compiled.* keys (bench_compiled).
-
-    The tentpole claim: bytecode execution of a cached bounded plan beats
-    the option-tree interpreter by >= 1.5x on the plain FO hot path. The
-    embedded chase only has to not regress (>= 1.0x), and the sealed
-    certificate payloads must be byte-identical across both engines.
-    """
-    failures = []
-    plain = as_number(metrics.get("compiled.plain_speedup"))
-    if plain is not None:
-        print(f"compiled plain speedup: {plain:.2f}x (need >= 1.5x)")
-        if plain < 1.5:
-            failures.append(
-                f"compiled plain path only {plain:.2f}x faster than the "
-                f"interpreter (need >= 1.5x)")
-    embedded = as_number(metrics.get("compiled.embedded_speedup"))
-    if embedded is not None:
-        print(f"compiled embedded speedup: {embedded:.2f}x (need >= 1x)")
-        if embedded < 1.0:
-            failures.append(
-                f"compiled embedded chase is {embedded:.2f}x the interpreter "
-                f"— a regression (need >= 1x)")
-    certs = as_number(metrics.get("compiled.certs_equal"))
-    if certs is not None and certs != 1:
-        failures.append(
-            "compiled.certs_equal != 1: sealed certificate payloads differ "
-            "between the interpreter and the bytecode VM")
     return failures
 
 
@@ -310,7 +271,7 @@ def main():
                              "files with --check-bounds")
     parser.add_argument("--check-bounds", action="store_true",
                         help="verify static-bound, governor-overhead, and "
-                             "compiled-speedup invariants inside each given "
+                             "thread-scaling invariants inside each given "
                              "sidecar, accumulating all violations")
     parser.add_argument("--overhead-pct", type=float, default=3.0,
                         help="max governed-vs-ungoverned overhead percent "

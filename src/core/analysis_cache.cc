@@ -165,8 +165,7 @@ AnalysisCache::GetOrAnalyze(
 Result<std::shared_ptr<const EmbeddedCqAnalysis>>
 AnalysisCache::GetOrAnalyzeEmbedded(
     const Cq& q, std::string_view query_text, const Schema& schema,
-    const AccessSchema& access, const VarSet& params,
-    std::shared_ptr<exec::CompiledPlanSet>* compiled_out) {
+    const AccessSchema& access, const VarSet& params) {
   const uint64_t env_fp = EnvFingerprint(schema, access);
   // Embedded plans depend on which variables are parameters, so the param
   // set is part of the key.
@@ -184,7 +183,6 @@ AnalysisCache::GetOrAnalyzeEmbedded(
     Entry* hit = LookupLocked(hash, key_text, env_fp, &collision);
     if (hit != nullptr && hit->embedded != nullptr) {
       ++stats_.hits;
-      if (compiled_out != nullptr) *compiled_out = EnsureCompiled(&hit->compiled);
       return hit->embedded;
     }
     auto [it, leader] = inflight_.try_emplace(key_text);
@@ -193,7 +191,6 @@ AnalysisCache::GetOrAnalyzeEmbedded(
       ++stats_.coalesced;
       fill_cv_.wait(lock, [&] { return flight->done; });
       if (!flight->status.ok()) return flight->status;
-      if (compiled_out != nullptr) *compiled_out = flight->compiled;
       return flight->embedded;
     }
     it->second = std::make_shared<InFlight>();
@@ -214,19 +211,16 @@ AnalysisCache::GetOrAnalyzeEmbedded(
     std::lock_guard<std::mutex> lock(mu_);
     flight->status = analyzed.ok() ? Status::OK() : analyzed.status();
     flight->embedded = shared;
-    if (analyzed.ok()) EnsureCompiled(&flight->compiled);
     flight->done = true;
     inflight_.erase(key_text);
     if (analyzed.ok() && !collision) {
       Entry entry;
       entry.embedded = shared;
-      entry.compiled = flight->compiled;
       InsertLocked(hash, std::move(key_text), env_fp, std::move(entry));
     }
   }
   fill_cv_.notify_all();
   if (shared == nullptr) return flight->status;
-  if (compiled_out != nullptr) *compiled_out = flight->compiled;
   return shared;
 }
 

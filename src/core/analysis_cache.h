@@ -71,19 +71,17 @@ class AnalysisCache {
   /// cache entry: DDL drift, Invalidate(), and LRU eviction drop the
   /// derivation and its bytecode as one object, so a compiled program can
   /// never be served against an analysis the cache no longer vouches for.
-  /// A re-analysis after any drop hands back a fresh, empty set — the VM
-  /// recompiles instead of executing a stale program.
+  /// A re-analysis after any drop hands back a fresh, empty set — the
+  /// program is recompiled instead of a stale one executing.
   Result<std::shared_ptr<const ControllabilityAnalysis>> GetOrAnalyze(
       const Formula& f, std::string_view query_text, const Schema& schema,
       const AccessSchema& access, const ControlAnalysisOptions& options = {},
       std::shared_ptr<exec::CompiledPlanSet>* compiled_out = nullptr);
 
   /// The cached (or fresh) embedded chase plan for `q` under `params`.
-  /// `compiled_out` behaves exactly as in GetOrAnalyze.
   Result<std::shared_ptr<const EmbeddedCqAnalysis>> GetOrAnalyzeEmbedded(
       const Cq& q, std::string_view query_text, const Schema& schema,
-      const AccessSchema& access, const VarSet& params,
-      std::shared_ptr<exec::CompiledPlanSet>* compiled_out = nullptr);
+      const AccessSchema& access, const VarSet& params);
 
   /// Drops every entry (schema or access-schema DDL).
   void Invalidate();
@@ -109,7 +107,7 @@ class AnalysisCache {
     Status status = Status::OK();
     std::shared_ptr<const ControllabilityAnalysis> plain;
     std::shared_ptr<const EmbeddedCqAnalysis> embedded;
-    std::shared_ptr<exec::CompiledPlanSet> compiled;
+    std::shared_ptr<exec::CompiledPlanSet> compiled;  ///< plain fills only
   };
 
   struct Entry {
@@ -118,8 +116,8 @@ class AnalysisCache {
     uint64_t last_used = 0;
     std::shared_ptr<const ControllabilityAnalysis> plain;
     std::shared_ptr<const EmbeddedCqAnalysis> embedded;
-    /// Bytecode programs lowered from this entry's analysis; dropped with
-    /// the entry, so derivation and bytecode invalidate atomically.
+    /// Bytecode programs lowered from this entry's plain analysis; dropped
+    /// with the entry, so derivation and bytecode invalidate atomically.
     std::shared_ptr<exec::CompiledPlanSet> compiled;
   };
 

@@ -1,6 +1,8 @@
 #ifndef SCALEIN_CORE_BOUNDED_EVAL_H_
 #define SCALEIN_CORE_BOUNDED_EVAL_H_
 
+#include <memory>
+
 #include "core/controllability.h"
 #include "core/embedded_controllability.h"
 #include "eval/answer_set.h"
@@ -74,11 +76,23 @@ struct BoundedEvalStats {
   }
 };
 
+namespace exec {
+struct CompiledProgram;
+}  // namespace exec
+
 /// The constructive content of Theorem 4.2: executes a controllability
-/// derivation directly, fetching data only through the access paths the
-/// derivation's atom/chase steps name. On a database conforming to the access
-/// schema, answers equal the reference semantics and the fetch count is
-/// bounded by the derivation's static bound — independent of |D|.
+/// derivation, fetching data only through the access paths the derivation's
+/// atom/chase steps name. On a database conforming to the access schema,
+/// answers equal the reference semantics and the fetch count is bounded by
+/// the derivation's static bound — independent of |D|.
+///
+/// There is one executor: every entry point runs register bytecode on the VM
+/// (exec/vm.h). The analysis-taking entry points lower the derivation with
+/// exec/compiler.h first (a few µs); callers that cache programs (the shell
+/// and server, through the analysis cache's CompiledPlanSet) pass the
+/// program instead. Each evaluation is one sequential walk on the calling
+/// thread; parallelism runs across evaluations (EvaluateBatch, serve run
+/// slots), never inside one.
 class BoundedEvaluator {
  public:
   /// `db` is mutable only because indexes build on demand; content is never
@@ -108,12 +122,17 @@ class BoundedEvaluator {
   void set_collect_timing(bool collect) { collect_timing_ = collect; }
 
   /// Evaluates Q(ā, ·) via a plain-controllability derivation: `params`
-  /// must cover some derived controlling set. Answers range over the head
-  /// variables not bound by `params`, in head order. The derivation is
-  /// walked sequentially on the calling thread; parallelism runs across
-  /// evaluations (EvaluateBatch, serve run slots), never inside one.
+  /// must cover some derived controlling set (FailedPrecondition "query is
+  /// not controlled by the given parameters …" otherwise). Answers range
+  /// over the head variables not bound by `params`, in head order.
   Result<AnswerSet> Evaluate(const FoQuery& q,
                              const ControllabilityAnalysis& analysis,
+                             const Binding& params,
+                             BoundedEvalStats* stats = nullptr) const;
+
+  /// Evaluates a compiled plain program; `params` must bind exactly the
+  /// parameter set it was compiled for.
+  Result<AnswerSet> Evaluate(const exec::CompiledProgram& program,
                              const Binding& params,
                              BoundedEvalStats* stats = nullptr) const;
 
@@ -126,13 +145,18 @@ class BoundedEvaluator {
       const FoQuery& q, const ControllabilityAnalysis& analysis,
       const Binding& params, BoundedEvalStats* stats = nullptr) const;
 
+  /// Degradation-aware evaluation of a compiled plain program.
+  Result<exec::Degraded<AnswerSet>> EvaluateDegraded(
+      const exec::CompiledProgram& program, const Binding& params,
+      BoundedEvalStats* stats = nullptr) const;
+
   /// Evaluates Q(ā_i, ·) for every parameter binding in `batch`, fanning the
   /// independent evaluations out as morsels on the global worker pool
-  /// (src/par). Every index any taken derivation names is prebuilt before
-  /// the fan-out, so workers only read. Results are in input order; each
-  /// slot is the exact Result a sequential Evaluate call would produce, and
-  /// `stats` (merged in input order) carries byte-identical totals
-  /// regardless of thread count.
+  /// (src/par). One program per distinct parameter set is compiled, and its
+  /// indexes prebuilt, before the fan-out, so workers only read. Results are
+  /// in input order; each slot is the exact Result a sequential Evaluate
+  /// call would produce, and `stats` (merged in input order) carries
+  /// byte-identical totals regardless of thread count.
   std::vector<Result<AnswerSet>> EvaluateBatch(
       const FoQuery& q, const ControllabilityAnalysis& analysis,
       const std::vector<Binding>& batch,
@@ -160,10 +184,14 @@ class BoundedEvaluator {
       BoundedEvalStats* stats = nullptr, bool fallback_to_approx = false) const;
 
  private:
-  Result<AnswerSet> EvaluateEmbeddedImpl(const EmbeddedCqAnalysis& analysis,
-                                         const Binding& params,
-                                         exec::ExecContext* ctx,
-                                         bool capture_ops) const;
+  using ProgramOrError = Result<std::shared_ptr<const exec::CompiledProgram>>;
+
+  Result<AnswerSet> EvaluateEmbedded(const ProgramOrError& program,
+                                     const Binding& params,
+                                     BoundedEvalStats* stats) const;
+  Result<AnswerSet> RunEmbedded(const ProgramOrError& program,
+                                const Binding& params, bool register_ops,
+                                exec::ExecContext* ctx) const;
 
   Database* db_;
   bool enforce_bounds_ = false;

@@ -74,7 +74,7 @@ class Analyzer {
       node->is_condition = true;
       ControlOption base;
       base.controls = f.FreeVariables();
-      base.rule = "condition";
+      base.rule = ControlRule::kCondition;
       base.fetch_bound = 0;
       base.result_bound = 1;
       AddOption(node.get(), std::move(base), options_.max_options_per_node);
@@ -179,7 +179,7 @@ class Analyzer {
 
     auto emit = [&](const std::vector<Variable>& reps) {
       ControlOption opt;
-      opt.rule = "condition";
+      opt.rule = ControlRule::kCondition;
       opt.fetch_bound = 0;
       opt.result_bound = 1;
       opt.controls = VarSet(reps.begin(), reps.end());
@@ -236,7 +236,7 @@ class Analyzer {
     for (const AccessStatement* stmt : access_.ForRelation(f.relation())) {
       if (!IsEffectivelyPlain(*stmt, *rs)) continue;  // embedded: §4.5 engine
       ControlOption opt;
-      opt.rule = "atom";
+      opt.rule = ControlRule::kAtom;
       opt.access = stmt;
       opt.fetch_bound = static_cast<double>(stmt->max_tuples);
       opt.result_bound = static_cast<double>(stmt->max_tuples);
@@ -414,7 +414,7 @@ class Analyzer {
     for (ChainOption& c : finals) {
       ControlOption opt;
       opt.controls = std::move(c.controls);
-      opt.rule = "and";
+      opt.rule = ControlRule::kAnd;
       opt.fetch_bound = c.fetch + c.result * negation_fetch;
       opt.result_bound = c.result;
       opt.conjunct_order = std::move(c.order);
@@ -494,7 +494,7 @@ class Analyzer {
     for (Combo& c : current) {
       ControlOption opt;
       opt.controls = std::move(c.controls);
-      opt.rule = "or";
+      opt.rule = ControlRule::kOr;
       opt.fetch_bound = c.fetch;
       opt.result_bound = std::max(1.0, c.result);
       opt.child_options = std::move(c.children);
@@ -512,7 +512,7 @@ class Analyzer {
       if (!VarIntersect(child_opt->controls, quantified).empty()) continue;
       ControlOption opt;
       opt.controls = child_opt->controls;
-      opt.rule = "exists";
+      opt.rule = ControlRule::kExists;
       opt.fetch_bound = child_opt->fetch_bound;
       opt.result_bound = child_opt->result_bound;
       opt.child_options = {child_opt.get()};
@@ -561,7 +561,7 @@ class Analyzer {
         if (!VarIntersect(premise_opt->controls, quantified).empty()) continue;
         ControlOption opt;
         opt.controls = f.FreeVariables();  // a Boolean check given all frees
-        opt.rule = "forall";
+        opt.rule = ControlRule::kForall;
         opt.fetch_bound =
             premise_opt->fetch_bound +
             premise_opt->result_bound * best_conclusion->fetch_bound;
@@ -583,38 +583,61 @@ class Analyzer {
 void RenderDerivation(const NodeAnalysis& node, const ControlOption& opt,
                       int depth, std::string* out) {
   out->append(static_cast<size_t>(depth) * 2, ' ');
-  *out += opt.rule;
+  *out += ControlRuleName(opt.rule);
   *out += " controls=" + VarSetToString(opt.controls);
   *out += StrFormat(" fetch<=%.0f result<=%.0f", opt.fetch_bound,
                     opt.result_bound);
   if (opt.access != nullptr) *out += " via " + opt.access->ToString();
   *out += " : " + node.formula.ToString() + "\n";
   // Recurse structurally.
-  if (opt.rule == "and") {
-    for (size_t i = 0; i < opt.conjunct_order.size(); ++i) {
-      RenderDerivation(*node.subs[opt.conjunct_order[i]], *opt.child_options[i],
-                       depth + 1, out);
-    }
-    for (size_t ni = 0; ni + node.n_positives < node.subs.size(); ++ni) {
-      out->append(static_cast<size_t>(depth + 1) * 2, ' ');
-      *out += "safe-negation of:\n";
-      RenderDerivation(*node.subs[node.n_positives + ni],
-                       *opt.child_options[opt.conjunct_order.size() + ni],
-                       depth + 2, out);
-    }
-  } else if (opt.rule == "or") {
-    for (size_t i = 0; i < opt.child_options.size(); ++i) {
-      RenderDerivation(*node.subs[i], *opt.child_options[i], depth + 1, out);
-    }
-  } else if (opt.rule == "exists") {
-    RenderDerivation(*node.subs[0], *opt.child_options[0], depth + 1, out);
-  } else if (opt.rule == "forall") {
-    RenderDerivation(*node.subs[0], *opt.child_options[0], depth + 1, out);
-    RenderDerivation(*node.subs[1], *opt.child_options[1], depth + 1, out);
+  switch (opt.rule) {
+    case ControlRule::kAnd:
+      for (size_t i = 0; i < opt.conjunct_order.size(); ++i) {
+        RenderDerivation(*node.subs[opt.conjunct_order[i]],
+                         *opt.child_options[i], depth + 1, out);
+      }
+      for (size_t ni = 0; ni + node.n_positives < node.subs.size(); ++ni) {
+        out->append(static_cast<size_t>(depth + 1) * 2, ' ');
+        *out += "safe-negation of:\n";
+        RenderDerivation(*node.subs[node.n_positives + ni],
+                         *opt.child_options[opt.conjunct_order.size() + ni],
+                         depth + 2, out);
+      }
+      break;
+    case ControlRule::kOr:
+    case ControlRule::kExists:
+    case ControlRule::kForall:
+      // "or": one child per operand; "exists": the body; "forall": premise
+      // then conclusion — child i is always subs[i].
+      for (size_t i = 0; i < opt.child_options.size(); ++i) {
+        RenderDerivation(*node.subs[i], *opt.child_options[i], depth + 1, out);
+      }
+      break;
+    case ControlRule::kAtom:
+    case ControlRule::kCondition:
+      break;
   }
 }
 
 }  // namespace
+
+const char* ControlRuleName(ControlRule rule) {
+  switch (rule) {
+    case ControlRule::kAtom:
+      return "atom";
+    case ControlRule::kCondition:
+      return "condition";
+    case ControlRule::kAnd:
+      return "and";
+    case ControlRule::kOr:
+      return "or";
+    case ControlRule::kExists:
+      return "exists";
+    case ControlRule::kForall:
+      return "forall";
+  }
+  return "?";
+}
 
 Result<ControllabilityAnalysis> ControllabilityAnalysis::Analyze(
     const Formula& f, const Schema& schema, const AccessSchema& access,

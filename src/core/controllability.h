@@ -1,6 +1,7 @@
 #ifndef SCALEIN_CORE_CONTROLLABILITY_H_
 #define SCALEIN_CORE_CONTROLLABILITY_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -23,12 +24,27 @@ struct ControlAnalysisOptions {
   size_t max_options_per_node = 48;
 };
 
+/// The §4 inference rule that derived a control option.
+enum class ControlRule : uint8_t {
+  kAtom,
+  kCondition,
+  kAnd,
+  kOr,
+  kExists,
+  kForall,
+};
+
+/// The rule's name as derivations, op labels and bytecode listings print it:
+/// "atom", "condition", "and", "or", "exists", "forall". Op labels are part
+/// of the sealed certificate payload, so these strings never change.
+const char* ControlRuleName(ControlRule rule);
+
 /// One derivable way to control a subformula: the controlling variable set
 /// x̄, the rule that produced it, the ingredients the bounded executor needs
 /// to act on it, and static bounds derived from the access schema's N values.
 struct ControlOption {
-  VarSet controls;    ///< x̄: values for these make evaluation bounded
-  std::string rule;   ///< "atom", "condition", "and", "or", "exists", "forall"
+  VarSet controls;  ///< x̄: values for these make evaluation bounded
+  ControlRule rule = ControlRule::kAtom;
 
   /// For "condition" options on conjunctions of equalities: how each free
   /// variable's value is *determined* — a constant (from x = c chains) or a
@@ -82,8 +98,8 @@ struct NodeAnalysis {
 
 /// The §4 inference system: derives, bottom-up, every minimal controlling
 /// set of every subformula under an access schema, keeping enough provenance
-/// that BoundedEvaluator can execute the derivation (the constructive content
-/// of Theorem 4.2).
+/// that the bytecode compiler (exec/compiler.h) can lower the derivation for
+/// BoundedEvaluator to execute (the constructive content of Theorem 4.2).
 class ControllabilityAnalysis {
  public:
   /// Runs the analysis. Fails only on structural errors (unknown relations /

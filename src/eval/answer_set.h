@@ -18,6 +18,16 @@ using AnswerSet = std::set<Tuple>;
 /// parameters x̄ of Q(x̄, ȳ) throughout the paper.
 using Binding = std::map<Variable, Value>;
 
+/// The variables `binding` assigns: the parameter set x̄ it fixes.
+inline VarSet BoundVariables(const Binding& binding) {
+  VarSet vars;
+  for (const auto& [v, value] : binding) {
+    (void)value;
+    vars.insert(v);
+  }
+  return vars;
+}
+
 inline bool BooleanAnswer(const AnswerSet& answers) { return !answers.empty(); }
 
 inline std::string AnswerSetToString(const AnswerSet& answers,

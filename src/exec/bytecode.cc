@@ -1,5 +1,6 @@
 #include "exec/bytecode.h"
 
+#include <cctype>
 #include <string>
 
 namespace scalein::exec {
@@ -75,9 +76,10 @@ std::string OpRef(int32_t op_idx, const CompiledProgram& p) {
   return "op=" + std::to_string(op_idx) + ":" + p.ops[op_idx].label;
 }
 
-std::string LeafText(const LeafCode& leaf, const CompiledProgram& p) {
-  if (leaf.is_condition) {
-    std::string out = "COND " + OpRef(leaf.op_idx, p);
+std::string LeafText(const PlainNode& node, const CompiledProgram& p) {
+  const LeafCode& leaf = node.leaf;
+  if (node.rule == ControlRule::kCondition) {
+    std::string out = "COND " + OpRef(node.op_idx, p);
     out += " resolve{";
     for (size_t i = 0; i < leaf.cond_sources.size(); ++i) {
       if (i > 0) out += ",";
@@ -85,11 +87,11 @@ std::string LeafText(const LeafCode& leaf, const CompiledProgram& p) {
     }
     out += "} " + leaf.cond.ToString();
     if (!leaf.ext_regs.empty()) out += " ext>" + RegListText(leaf.ext_regs);
-    return out;
+    return out + " CHARGE";  // its rows fold into this node
   }
   std::string out =
       (leaf.full_scan ? "SCAN " : "PROBE ") + p.relations[leaf.relation];
-  out += " " + OpRef(leaf.op_idx, p);
+  out += " " + OpRef(node.op_idx, p);
   if (!leaf.full_scan) {
     out += " key" + PositionsText(leaf.key_positions) + "=(";
     for (size_t i = 0; i < leaf.key.size(); ++i) {
@@ -100,8 +102,14 @@ std::string LeafText(const LeafCode& leaf, const CompiledProgram& p) {
   }
   out += " unify" + UnifyText(leaf.unify, p);
   if (!leaf.ext_regs.empty()) out += " ext>" + RegListText(leaf.ext_regs);
-  out += " CHARGE";  // probe + distinct-extension rows fold into this leaf
+  out += " CHARGE";  // probe + distinct-extension rows fold into this node
   return out;
+}
+
+std::string ColumnsText(const std::vector<ChaseColumn>& columns) {
+  std::vector<size_t> positions;
+  for (const ChaseColumn& c : columns) positions.push_back(c.position);
+  return PositionsText(positions);
 }
 
 std::string DoubleText(double d) {
@@ -135,34 +143,43 @@ std::string CompiledProgram::Disassemble() const {
   };
 
   if (kind == Kind::kPlain) {
-    for (const PlainStage& stage : stages) {
-      switch (stage.kind) {
-        case PlainStage::Kind::kExpand:
-          line("EXPAND    " + LeafText(stage.leaf, *this));
-          break;
-        case PlainStage::Kind::kNegations: {
-          line("NEGFILTER " + std::to_string(stage.negs.size()) + " checks");
-          for (const LeafCode& neg : stage.negs) {
-            out += "        ! " + LeafText(neg, *this) + "\n";
+    // Pre-order, children indented under their parent; "!" marks a safe
+    // negation that must come back empty.
+    auto emit = [&](auto&& self, uint32_t n, size_t depth,
+                    bool negated) -> void {
+      const PlainNode& node = nodes[n];
+      std::string text(depth * 2, ' ');
+      if (negated) text += "! ";
+      switch (node.rule) {
+        case ControlRule::kAtom:
+        case ControlRule::kCondition:
+          line(text + LeafText(node, *this));
+          return;
+        case ControlRule::kAnd:
+        case ControlRule::kOr:
+        case ControlRule::kExists:
+        case ControlRule::kForall: {
+          std::string name = ControlRuleName(node.rule);
+          for (char& c : name) {
+            c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
           }
+          line(text + name + " " + OpRef(node.op_idx, *this) + " layout=" +
+               RegListText(node.layout) + " CHARGE");
           break;
         }
-        case PlainStage::Kind::kFinalize:
-          line("FINALIZE  " + OpRef(stage.op_idx, *this) + " layout=" +
-               RegListText(stage.layout) + " CHARGE");
-          break;
-        case PlainStage::Kind::kExistsFinalize:
-          line("PROJECT   " + OpRef(stage.op_idx, *this) + " layout=" +
-               RegListText(stage.layout) + " CHARGE");
-          break;
       }
-    }
-    line("EMIT      head=" + RegListText(head_regs) + " CHARGE output-cap");
+      for (size_t i = 0; i < node.children.size(); ++i) {
+        self(self, node.children[i], depth + 1,
+             node.rule == ControlRule::kAnd && i >= node.n_positive);
+      }
+    };
+    emit(emit, 0, 0, false);
+    line("EMIT head=" + RegListText(head_regs) + " CHARGE output-cap");
     return out;
   }
 
   for (const AtomCode& atom : atoms) {
-    std::string text = "CHASE     " + relations[atom.relation] + " " +
+    std::string text = "CHASE " + relations[atom.relation] + " " +
                        OpRef(atom.op_idx, *this) + " seed(";
     for (size_t i = 0; i < atom.seed.size(); ++i) {
       if (i > 0) text += ",";
@@ -171,8 +188,9 @@ std::string CompiledProgram::Disassemble() const {
     text += ")";
     line(text);
     for (const ChaseStepCode& step : atom.steps) {
-      out += "        . STEP key" + PositionsText(step.key_layout) + " val" +
-             PositionsText(step.value_layout) + " CHARGE\n";
+      out += "        . STEP key" + PositionsText(step.key_layout) + " check" +
+             ColumnsText(step.checks) + " bind" + ColumnsText(step.binds) +
+             " CHARGE\n";
     }
     if (atom.needs_verification) {
       out += "        . VERIFY key" + PositionsText(atom.verify_positions) +
@@ -180,7 +198,7 @@ std::string CompiledProgram::Disassemble() const {
     }
     out += "        . UNIFY " + UnifyText(atom.unify, *this) + "\n";
   }
-  line("EMIT      head=" + RegListText(embed_head_regs) + " CHARGE output-cap");
+  line("EMIT head=" + RegListText(head_regs) + " CHARGE output-cap");
   return out;
 }
 

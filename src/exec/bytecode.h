@@ -7,18 +7,17 @@
 #include <vector>
 
 #include "core/access_schema.h"
-#include "query/cq.h"
+#include "core/controllability.h"
 #include "query/formula.h"
 #include "query/term.h"
 #include "relational/value.h"
 
 namespace scalein::exec {
 
-/// Register index into a compiled plan's frontier row. The frontier of a
-/// compiled bounded evaluation is a flat array of rows, each `num_regs`
-/// Values wide, with one register per query variable the plan can bind —
-/// replacing the interpreter's per-partial std::map<Variable, Value>
-/// Bindings on the hot path.
+/// Register index into a compiled plan's frontier row. A frontier is a flat
+/// array of rows, each `num_regs` Values wide, with one register per
+/// variable binding the plan can make (a variable quantified in two scopes
+/// gets two registers).
 using Reg = uint16_t;
 constexpr Reg kNoReg = 0xFFFF;
 
@@ -34,11 +33,8 @@ struct Slot {
   Reg reg = kNoReg;    ///< frontier register (kReg)
 };
 
-/// One per-argument-position action while consuming a fetched row — the
-/// register form of the interpreter's unification loops (PlainExecutor's
-/// `consume`, the embedded chase's assignment extension). Executed in
-/// position order; any failed check rejects the row, exactly like the
-/// interpreter's early returns.
+/// One per-argument-position action while consuming a fetched row. Executed
+/// in position order; any failed check rejects the row.
 struct UnifyStep {
   enum class Kind : uint8_t {
     kCheckConst,  ///< row[pos] must equal consts[index]
@@ -62,15 +58,10 @@ struct CondVar {
   Reg reg = kNoReg;     ///< frontier register (!local)
 };
 
-/// A compiled leaf of a plain §4 derivation: one metered atom probe or one
-/// condition evaluation. One leaf visit replicates one interpreter
-/// Eval(node, opt, env) call on that leaf — same metered charges in the
-/// same order, same distinct-extension count charged to the same op.
+/// The body of an "atom" or "condition" node: one metered probe (or full
+/// scan) unified against the row, or one equality-condition evaluation.
 struct LeafCode {
-  bool is_condition = false;
-  int32_t op_idx = -1;  ///< index into CompiledProgram::ops; -1 when unregistered
-
-  // --- rule "atom" ---
+  // --- "atom" ---
   uint32_t relation = 0;  ///< index into CompiledProgram::relations
   /// Access statement backing the probe (enforce-bounds N and message text).
   const AccessStatement* access = nullptr;
@@ -79,49 +70,61 @@ struct LeafCode {
   std::vector<Slot> key;              ///< value source per key position
   std::vector<UnifyStep> unify;       ///< one per atom argument position
 
-  // --- rule "condition" ---
+  // --- "condition" ---
   Formula cond = Formula::True();
-  /// Sources for the condition's determined extension variables (the
-  /// condition_resolve entries not bound by the environment), in variable-id
-  /// order — one per local extension slot.
+  /// Sources of the variables the condition determines (its
+  /// condition_resolve entries not yet bound), in variable-id order — one
+  /// per local extension slot.
   std::vector<Slot> cond_sources;
   /// Free-variable resolution for evaluating `cond` over registers/locals.
   std::vector<CondVar> cond_vars;
 
-  // --- common ---
+  // --- both ---
   uint16_t ext_width = 0;     ///< number of new variables this leaf binds
-  std::vector<Reg> ext_regs;  ///< frontier destination per local slot
-                              ///< (variable-id order); empty for negations
+  std::vector<Reg> ext_regs;  ///< destination register per local slot
 };
 
-/// One stage of a compiled plain program. A program is a straight-line
-/// sequence of stages over one frontier row buffer:
-///   kExpand*  [kNegations]  kFinalize  kExistsFinalize*
-/// lowered from the supported option-tree shape
-///   exists* ( and(leaf+; leaf*) | leaf ).
-struct PlainStage {
-  enum class Kind : uint8_t {
-    kExpand,          ///< expand every frontier row through one positive leaf
-    kNegations,       ///< filter rows through the safe negation leaves
-    kFinalize,        ///< sort + dedup on `layout`, charge the "and" op
-    kExistsFinalize,  ///< project to `layout`, dedup, charge the "exists" op
-  };
-  Kind kind = Kind::kExpand;
-  LeafCode leaf;               ///< kExpand
-  std::vector<LeafCode> negs;  ///< kNegations
-  int32_t op_idx = -1;         ///< kFinalize / kExistsFinalize owner op
-  /// Registers of the stage's binding domain in variable-id order — the
-  /// comparison layout replicating std::set<Binding> order and dedup.
+/// One node of a plain §4 derivation. The VM visits a node once per
+/// register row, exactly where the derivation walk evaluates the node under
+/// one environment, and returns the node's distinct result rows in set
+/// order. Every rule lowers to one node:
+///   atom, condition  the leaf body in `leaf`
+///   and              children[0, n_positive) extend the row in conjunct
+///                    order; children[n_positive, …) are safe negations
+///                    that must come back empty
+///   or               the union of every child's rows
+///   exists           the body's rows, deduplicated on the smaller layout
+///   forall           one row iff the conclusion (children[1]) holds for
+///                    every row of the premise (children[0])
+struct PlainNode {
+  ControlRule rule = ControlRule::kAtom;
+  int32_t op_idx = -1;  ///< index into CompiledProgram::ops
+  std::vector<uint32_t> children;  ///< indices into CompiledProgram::nodes
+  uint32_t n_positive = 0;         ///< "and": children before the negations
+  LeafCode leaf;                   ///< "atom" / "condition"
+  /// Registers of the variables the node binds (its free variables not
+  /// bound on entry) in variable-id order: the sort and dedup key that
+  /// reproduces the derivation's binding-set order.
   std::vector<Reg> layout;
 };
 
-/// One embedded chase step inside a compiled atom (Proposition 4.5).
+/// One projection column of a chase step: fetched column `column` is
+/// checked against, or bound into, candidate position `position`.
+struct ChaseColumn {
+  uint32_t column = 0;
+  uint32_t position = 0;
+};
+
+/// One embedded chase step inside a compiled atom (Proposition 4.5). Which
+/// candidate positions are bound before the step is fixed at compile time,
+/// so the value columns come split into checks and binds.
 struct ChaseStepCode {
   const AccessStatement* statement = nullptr;
   std::vector<size_t> key_positions;    ///< original order, as the plan names them
   std::vector<size_t> value_positions;  ///< original order
   std::vector<size_t> key_layout;       ///< canonical (the projection index's)
-  std::vector<size_t> value_layout;     ///< canonical
+  std::vector<ChaseColumn> checks;      ///< value columns already bound
+  std::vector<ChaseColumn> binds;       ///< value columns this step binds
 };
 
 /// One compiled atom of an embedded chase plan.
@@ -138,8 +141,8 @@ struct AtomCode {
 };
 
 /// Prototype of one per-op counter slot, registered into a fresh ExecContext
-/// in table order — reproducing the interpreter's RegisterOps pre-order so
-/// op ids, labels, parents, and static bounds are identical.
+/// in table order: the derivation's pre-order (each node before its
+/// children, "and" positives in conjunct order before its negations).
 struct OpProto {
   std::string label;
   int32_t parent = -1;  ///< index into the prototype table; -1 for the root
@@ -150,15 +153,13 @@ struct OpProto {
 /// (Ensure* is a const-but-mutating cache fill).
 struct PrebuildIndex {
   uint32_t relation = 0;
-  std::vector<size_t> positions;  ///< canonical hash-index key; empty = none
+  std::vector<size_t> positions;  ///< canonical hash-index key
 };
 
 /// A bounded plan lowered to register bytecode: everything the VM
-/// (exec/vm.h) needs to execute the derivation with the exact metered-access
-/// sequence of the interpreter, minus the per-tuple map/set allocations.
-/// Immutable once built; shared across sessions via the AnalysisCache entry
-/// it is attached to. Pointers into the access schema / analysis stay valid
-/// through `keepalive`.
+/// (exec/vm.h) needs to execute the derivation. Immutable once built; shared
+/// across sessions via the AnalysisCache entry it is attached to. Pointers
+/// into the access schema / analysis stay valid through `keepalive`.
 struct CompiledProgram {
   enum class Kind : uint8_t { kPlain, kEmbedded };
   Kind kind = Kind::kPlain;
@@ -172,23 +173,20 @@ struct CompiledProgram {
   std::vector<std::pair<Variable, Reg>> param_regs;  ///< seed from the binding
   double static_bound = 0;  ///< the derivation's Theorem 4.2 / Prop 4.5 M
   std::vector<PrebuildIndex> prebuilds;  ///< hash indexes (plain leaves)
+  std::vector<Reg> head_regs;  ///< open head variables in head order
 
   // --- plain ---
-  std::vector<PlainStage> stages;
-  std::vector<Reg> final_layout;  ///< result binding domain, id-sorted
-  std::vector<Reg> head_regs;     ///< open head variables in head order
+  std::vector<PlainNode> nodes;  ///< pre-order; nodes[0] is the root
 
   // --- embedded ---
   std::vector<AtomCode> atoms;
-  Cq embed_query;                  ///< for the approx fallback + head shape
-  std::vector<Reg> embed_head_regs;  ///< open head positions in head order
 
   /// Keeps the analysis (and through it the access schema entries the
   /// compiled statement pointers reference) alive as long as the program.
   std::shared_ptr<const void> keepalive;
 
   /// Human-readable listing (EXPLAIN's `compiled:` section, docs/bytecode.md
-  /// format): one line per stage/opcode with registers and charge targets.
+  /// format): one line per node/opcode with registers and charge targets.
   std::string Disassemble() const;
 };
 

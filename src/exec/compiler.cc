@@ -1,6 +1,5 @@
 #include "exec/compiler.h"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
@@ -26,170 +25,275 @@ uint32_t InternRelation(CompiledProgram* p, const std::string& name) {
   return static_cast<uint32_t>(p->relations.size() - 1);
 }
 
-Result<Reg> AllocReg(CompiledProgram* p, const Variable& v,
-                     std::map<Variable, Reg>* var_regs) {
+Result<Reg> AllocReg(CompiledProgram* p) {
   if (p->num_regs >= kNoReg) {
     return Status::Unimplemented("register file exhausted");
   }
-  Reg r = p->num_regs++;
-  var_regs->emplace(v, r);
-  return r;
+  return p->num_regs++;
 }
 
-/// Lowers one atom leaf. `env` maps every environment-bound variable to its
-/// frontier register; when `bind_regs` is set (positive leaves) the leaf's
-/// new variables are given frontier registers and recorded in `env`.
-Status CompileAtomLeaf(const NodeAnalysis& node, const ControlOption& opt,
-                       bool bind_regs, CompiledProgram* p,
-                       std::map<Variable, Reg>* env, LeafCode* out) {
-  const Formula& atom = node.formula;
-  if (opt.access == nullptr && !opt.key_positions.empty()) {
-    return Status::Unimplemented("atom option has no access statement");
+using RegMap = std::map<Variable, Reg>;
+
+/// The variables of `vars` not bound by `env`, in variable-id order.
+VarSet Unbound(const VarSet& vars, const RegMap& env) {
+  VarSet out;
+  for (const Variable& v : vars) {
+    if (!env.count(v)) out.insert(v);
   }
-  out->is_condition = false;
-  out->relation = InternRelation(p, atom.relation());
-  out->access = opt.access;
-  out->key_positions = Relation::CanonicalPositions(opt.key_positions);
-  out->full_scan = out->key_positions.empty();
-  for (size_t pos : out->key_positions) {
-    const Term& t = atom.args()[pos];
-    Slot s;
-    if (t.is_const()) {
-      s.kind = Slot::Kind::kConst;
-      s.index = InternConst(p, t.constant());
-    } else {
-      auto it = env->find(t.var());
-      if (it == env->end()) {
-        return Status::Unimplemented("key variable '" + t.var().name() +
-                                     "' is not bound by the environment");
+  return out;
+}
+
+Status UnboundError(const char* what, const Variable& v) {
+  return Status::Internal(std::string(what) + " '" + v.name() +
+                          "' is not bound by the derivation");
+}
+
+/// Lowers one derivation into `p->nodes`, mirroring the derivation walk:
+/// a node is visited with the variables in `env` bound, and binds exactly
+/// its free variables outside `env`, into the registers its parent chose.
+class PlainLowering {
+ public:
+  explicit PlainLowering(CompiledProgram* p) : p_(p) {}
+
+  /// Lowers (node, opt) and returns its node index. `dest` holds a register
+  /// for every free variable of the node that `env` does not bind; ops are
+  /// registered in pre-order under `parent_op`.
+  Result<uint32_t> Lower(const NodeAnalysis& node, const ControlOption& opt,
+                         const RegMap& env, const RegMap& dest,
+                         int32_t parent_op) {
+    const uint32_t index = static_cast<uint32_t>(p_->nodes.size());
+    p_->nodes.emplace_back();
+    p_->ops.push_back(
+        {opt.rule == ControlRule::kAtom
+             ? "atom(" + node.formula.relation() + ")"
+             : std::string(ControlRuleName(opt.rule)),
+         parent_op, opt.fetch_bound});
+    const int32_t op = static_cast<int32_t>(p_->ops.size()) - 1;
+
+    PlainNode out;
+    out.rule = opt.rule;
+    out.op_idx = op;
+    for (const auto& [v, r] : dest) {
+      (void)v;
+      out.layout.push_back(r);  // map order == variable-id order
+    }
+    switch (opt.rule) {
+      case ControlRule::kAtom:
+        SI_RETURN_IF_ERROR(LowerAtom(node, opt, env, dest, &out.leaf));
+        break;
+      case ControlRule::kCondition:
+        SI_RETURN_IF_ERROR(LowerCondition(node, opt, env, dest, &out.leaf));
+        break;
+      case ControlRule::kAnd: {
+        // Positive conjuncts extend the environment in derivation order;
+        // the safe negations see every positive variable bound.
+        RegMap scope = env;
+        for (size_t step = 0; step < opt.conjunct_order.size(); ++step) {
+          const NodeAnalysis& child = *node.subs[opt.conjunct_order[step]];
+          SI_ASSIGN_OR_RETURN(RegMap child_dest, Inherit(child, scope, dest));
+          SI_ASSIGN_OR_RETURN(uint32_t c, Lower(child, *opt.child_options[step],
+                                                scope, child_dest, op));
+          out.children.push_back(c);
+          scope.insert(child_dest.begin(), child_dest.end());
+        }
+        out.n_positive = static_cast<uint32_t>(out.children.size());
+        for (size_t ni = 0; ni + node.n_positives < node.subs.size(); ++ni) {
+          const NodeAnalysis& neg = *node.subs[node.n_positives + ni];
+          SI_ASSIGN_OR_RETURN(RegMap neg_dest, Inherit(neg, scope, dest));
+          SI_ASSIGN_OR_RETURN(
+              uint32_t c,
+              Lower(neg, *opt.child_options[opt.conjunct_order.size() + ni],
+                    scope, neg_dest, op));
+          out.children.push_back(c);
+        }
+        break;
       }
-      s.kind = Slot::Kind::kReg;
-      s.reg = it->second;
+      case ControlRule::kOr:
+        // Every operand binds the same free variables into the same
+        // registers, so their rows union into one layout.
+        for (size_t i = 0; i < node.subs.size(); ++i) {
+          SI_ASSIGN_OR_RETURN(RegMap child_dest,
+                              Inherit(*node.subs[i], env, dest));
+          SI_ASSIGN_OR_RETURN(uint32_t c, Lower(*node.subs[i],
+                                                *opt.child_options[i], env,
+                                                child_dest, op));
+          out.children.push_back(c);
+        }
+        break;
+      case ControlRule::kExists: {
+        // The quantified variables shadow any outer binding and get
+        // registers of their own scope.
+        const RegMap inner = Shadow(node, env);
+        SI_ASSIGN_OR_RETURN(RegMap body_dest,
+                            Fresh(*node.subs[0], inner, dest));
+        SI_ASSIGN_OR_RETURN(uint32_t c, Lower(*node.subs[0],
+                                              *opt.child_options[0], inner,
+                                              body_dest, op));
+        out.children.push_back(c);
+        break;
+      }
+      case ControlRule::kForall: {
+        // The premise enumerates the quantified variables; the conclusion
+        // is checked under each of its rows.
+        RegMap scope = Shadow(node, env);
+        SI_ASSIGN_OR_RETURN(RegMap premise_dest,
+                            Fresh(*node.subs[0], scope, RegMap{}));
+        SI_ASSIGN_OR_RETURN(uint32_t premise,
+                            Lower(*node.subs[0], *opt.child_options[0], scope,
+                                  premise_dest, op));
+        scope.insert(premise_dest.begin(), premise_dest.end());
+        SI_ASSIGN_OR_RETURN(RegMap conclusion_dest,
+                            Fresh(*node.subs[1], scope, RegMap{}));
+        SI_ASSIGN_OR_RETURN(uint32_t conclusion,
+                            Lower(*node.subs[1], *opt.child_options[1], scope,
+                                  conclusion_dest, op));
+        out.children = {premise, conclusion};
+        break;
+      }
     }
-    out->key.push_back(s);
-  }
-  if (!out->key_positions.empty()) {
-    p->prebuilds.push_back({out->relation, out->key_positions});
+    p_->nodes[index] = std::move(out);
+    return index;
   }
 
-  // New variables in variable-id order — the interpreter's extension Binding
-  // iterates in exactly this order, which fixes local slot assignment and
-  // (for positive leaves) the merge order into frontier registers.
-  VarSet ext;
-  for (const Term& t : atom.args()) {
-    if (t.is_var() && !env->count(t.var())) ext.insert(t.var());
+ private:
+  /// `env` without the variables `node` quantifies: inside ∃z̄ / ∀z̄, z̄ are
+  /// new variables even where an enclosing scope binds the same names.
+  static RegMap Shadow(const NodeAnalysis& node, const RegMap& env) {
+    RegMap inner = env;
+    for (const Variable& v : node.formula.quantified()) inner.erase(v);
+    return inner;
   }
-  std::map<Variable, uint16_t> local;
-  for (const Variable& v : ext) {
-    local.emplace(v, static_cast<uint16_t>(local.size()));
-  }
-  out->ext_width = static_cast<uint16_t>(ext.size());
 
-  std::set<Variable> seen;
-  for (const Term& t : atom.args()) {
-    UnifyStep s;
-    if (t.is_const()) {
-      s.kind = UnifyStep::Kind::kCheckConst;
-      s.index = InternConst(p, t.constant());
-    } else if (env->count(t.var())) {
-      s.kind = UnifyStep::Kind::kCheckReg;
-      s.reg = env->at(t.var());
-    } else if (seen.insert(t.var()).second) {
-      s.kind = UnifyStep::Kind::kBindLocal;
-      s.index = local.at(t.var());
-    } else {
-      s.kind = UnifyStep::Kind::kCheckLocal;
-      s.index = local.at(t.var());
+  /// Registers for `child`'s unbound free variables, taken from the
+  /// parent's `dest` (a conjunct or disjunct binds only its parent's
+  /// variables).
+  Result<RegMap> Inherit(const NodeAnalysis& child, const RegMap& env,
+                         const RegMap& dest) {
+    RegMap out;
+    for (const Variable& v : Unbound(child.formula.FreeVariables(), env)) {
+      auto it = dest.find(v);
+      if (it == dest.end()) return UnboundError("variable", v);
+      out.emplace(v, it->second);
     }
-    out->unify.push_back(s);
+    return out;
   }
 
-  if (bind_regs) {
-    for (const Variable& v : ext) {
-      SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p, v, env));
+  /// Registers for `child`'s unbound free variables: the parent's where it
+  /// has one, fresh ones for variables it quantifies.
+  Result<RegMap> Fresh(const NodeAnalysis& child, const RegMap& env,
+                       const RegMap& dest) {
+    RegMap out;
+    for (const Variable& v : Unbound(child.formula.FreeVariables(), env)) {
+      auto it = dest.find(v);
+      if (it != dest.end()) {
+        out.emplace(v, it->second);
+      } else {
+        SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p_));
+        out.emplace(v, r);
+      }
+    }
+    return out;
+  }
+
+  Status LowerAtom(const NodeAnalysis& node, const ControlOption& opt,
+                   const RegMap& env, const RegMap& dest, LeafCode* out) {
+    const Formula& atom = node.formula;
+    out->relation = InternRelation(p_, atom.relation());
+    out->access = opt.access;
+    out->key_positions = Relation::CanonicalPositions(opt.key_positions);
+    out->full_scan = out->key_positions.empty();
+    for (size_t pos : out->key_positions) {
+      const Term& t = atom.args()[pos];
+      Slot s;
+      if (t.is_const()) {
+        s.kind = Slot::Kind::kConst;
+        s.index = InternConst(p_, t.constant());
+      } else {
+        auto it = env.find(t.var());
+        if (it == env.end()) return UnboundError("key variable", t.var());
+        s.kind = Slot::Kind::kReg;
+        s.reg = it->second;
+      }
+      out->key.push_back(s);
+    }
+    if (!out->full_scan) {
+      p_->prebuilds.push_back({out->relation, out->key_positions});
+    }
+
+    // New variables in variable-id order fix the local slots, so sorting
+    // the local chunks reproduces the extension set's order.
+    std::map<Variable, uint16_t> local;
+    for (const auto& [v, r] : dest) {
+      local.emplace(v, static_cast<uint16_t>(local.size()));
       out->ext_regs.push_back(r);
     }
-  }
-  return Status::OK();
-}
-
-/// Lowers one condition leaf (the §4 "condition" rule: a Boolean
-/// combination of equalities whose unresolved variables are determined by
-/// condition_resolve pins/representatives).
-Status CompileConditionLeaf(const NodeAnalysis& node, const ControlOption& opt,
-                            bool bind_regs, CompiledProgram* p,
-                            std::map<Variable, Reg>* env, LeafCode* out) {
-  out->is_condition = true;
-  out->cond = node.formula;
-  std::map<Variable, uint16_t> local;
-  for (const auto& [v, t] : opt.condition_resolve) {
-    if (env->count(v)) continue;
-    Slot s;
-    if (t.is_const()) {
-      s.kind = Slot::Kind::kConst;
-      s.index = InternConst(p, t.constant());
-    } else {
-      auto rep = env->find(t.var());
-      if (rep == env->end()) {
-        return Status::Unimplemented("condition representative '" +
-                                     t.var().name() +
-                                     "' is not bound by the environment");
+    out->ext_width = static_cast<uint16_t>(local.size());
+    std::set<Variable> seen;
+    for (const Term& t : atom.args()) {
+      UnifyStep s;
+      if (t.is_const()) {
+        s.kind = UnifyStep::Kind::kCheckConst;
+        s.index = InternConst(p_, t.constant());
+      } else if (env.count(t.var())) {
+        s.kind = UnifyStep::Kind::kCheckReg;
+        s.reg = env.at(t.var());
+      } else {
+        auto slot = local.find(t.var());
+        if (slot == local.end()) return UnboundError("atom variable", t.var());
+        s.kind = seen.insert(t.var()).second ? UnifyStep::Kind::kBindLocal
+                                             : UnifyStep::Kind::kCheckLocal;
+        s.index = slot->second;
       }
-      s.kind = Slot::Kind::kReg;
-      s.reg = rep->second;
+      out->unify.push_back(s);
     }
-    local.emplace(v, static_cast<uint16_t>(out->cond_sources.size()));
-    out->cond_sources.push_back(s);
+    return Status::OK();
   }
-  out->ext_width = static_cast<uint16_t>(out->cond_sources.size());
-  for (const Variable& v : node.formula.FreeVariables()) {
-    CondVar cv;
-    cv.var_id = v.id();
-    auto reg = env->find(v);
-    if (reg != env->end()) {
-      cv.local = false;
-      cv.reg = reg->second;
-    } else {
-      auto loc = local.find(v);
-      if (loc == local.end()) {
-        return Status::Unimplemented("condition variable '" + v.name() +
-                                     "' is neither bound nor determined");
+
+  /// A Boolean combination of equalities whose unresolved variables are
+  /// determined by condition_resolve pins/representatives.
+  Status LowerCondition(const NodeAnalysis& node, const ControlOption& opt,
+                        const RegMap& env, const RegMap& dest, LeafCode* out) {
+    out->cond = node.formula;
+    std::map<Variable, uint16_t> local;
+    for (const auto& [v, t] : opt.condition_resolve) {
+      if (env.count(v)) continue;
+      Slot s;
+      if (t.is_const()) {
+        s.kind = Slot::Kind::kConst;
+        s.index = InternConst(p_, t.constant());
+      } else {
+        auto rep = env.find(t.var());
+        if (rep == env.end()) {
+          return UnboundError("condition representative", t.var());
+        }
+        s.kind = Slot::Kind::kReg;
+        s.reg = rep->second;
       }
-      cv.local = true;
-      cv.index = loc->second;
+      auto reg = dest.find(v);
+      if (reg == dest.end()) return UnboundError("condition variable", v);
+      local.emplace(v, static_cast<uint16_t>(out->cond_sources.size()));
+      out->cond_sources.push_back(s);
+      out->ext_regs.push_back(reg->second);
     }
-    out->cond_vars.push_back(cv);
-  }
-  if (bind_regs) {
-    for (const auto& [v, idx] : local) {
-      (void)idx;  // map iteration is id order == local slot order
-      SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p, v, env));
-      out->ext_regs.push_back(r);
+    out->ext_width = static_cast<uint16_t>(out->cond_sources.size());
+    for (const Variable& v : node.formula.FreeVariables()) {
+      CondVar cv;
+      cv.var_id = v.id();
+      if (auto reg = env.find(v); reg != env.end()) {
+        cv.reg = reg->second;
+      } else if (auto loc = local.find(v); loc != local.end()) {
+        cv.local = true;
+        cv.index = loc->second;
+      } else {
+        return UnboundError("condition variable", v);
+      }
+      out->cond_vars.push_back(cv);
     }
+    return Status::OK();
   }
-  return Status::OK();
-}
 
-Status CompileLeaf(const NodeAnalysis& node, const ControlOption& opt,
-                   bool bind_regs, CompiledProgram* p,
-                   std::map<Variable, Reg>* env, LeafCode* out) {
-  if (opt.rule == "atom") {
-    return CompileAtomLeaf(node, opt, bind_regs, p, env, out);
-  }
-  if (opt.rule == "condition") {
-    return CompileConditionLeaf(node, opt, bind_regs, p, env, out);
-  }
-  return Status::Unimplemented("unsupported derivation rule '" + opt.rule +
-                               "' (compiled grammar: exists* (and | leaf))");
-}
-
-std::vector<Reg> LayoutFor(const VarSet& domain,
-                           const std::map<Variable, Reg>& var_regs) {
-  std::vector<Reg> layout;
-  layout.reserve(domain.size());
-  for (const Variable& v : domain) layout.push_back(var_regs.at(v));
-  return layout;
-}
+  CompiledProgram* p_;
+};
 
 }  // namespace
 
@@ -209,128 +313,28 @@ Result<std::shared_ptr<const CompiledProgram>> CompilePlain(
   p->static_bound = opt->fetch_bound;
   p->keepalive = analysis;
 
-  std::map<Variable, Reg> var_regs;
+  RegMap env;
   for (const Variable& v : param_vars) {
-    SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p, v, &var_regs));
+    SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p));
+    env.emplace(v, r);
     p->param_regs.emplace_back(v, r);
   }
-
-  // Descend the ∃-wrapper chain, emitting op prototypes in the
-  // interpreter's RegisterOps pre-order (each node before its children).
-  struct ExistsFrame {
-    const NodeAnalysis* node;
-    int32_t op_idx;
-  };
-  std::vector<ExistsFrame> exists_chain;
-  const NodeAnalysis* node = &analysis->root();
-  const ControlOption* cur = opt;
-  int32_t parent_idx = -1;
-  while (cur->rule == "exists") {
-    p->ops.push_back({"exists", parent_idx, cur->fetch_bound});
-    parent_idx = static_cast<int32_t>(p->ops.size()) - 1;
-    exists_chain.push_back({node, parent_idx});
-    node = node->subs[0].get();
-    cur = cur->child_options[0];
+  RegMap dest;
+  for (const Variable& v : Unbound(analysis->root().formula.FreeVariables(),
+                                   env)) {
+    SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p));
+    dest.emplace(v, r);
   }
-
-  VarSet domain;  // the frontier's binding domain (excludes parameters)
-  if (cur->rule == "and") {
-    p->ops.push_back({"and", parent_idx, cur->fetch_bound});
-    const int32_t and_idx = static_cast<int32_t>(p->ops.size()) - 1;
-    const size_t n_neg = node->subs.size() - node->n_positives;
-
-    // Op prototypes first (children in evaluation order, negations after),
-    // exactly like RegisterOps; leaf bodies are lowered in a second pass.
-    std::vector<int32_t> step_ops, neg_ops;
-    for (size_t step = 0; step < cur->conjunct_order.size(); ++step) {
-      const NodeAnalysis& child = *node->subs[cur->conjunct_order[step]];
-      const ControlOption& copt = *cur->child_options[step];
-      std::string label = copt.rule == "atom"
-                              ? "atom(" + child.formula.relation() + ")"
-                              : copt.rule;
-      p->ops.push_back({std::move(label), and_idx, copt.fetch_bound});
-      step_ops.push_back(static_cast<int32_t>(p->ops.size()) - 1);
-    }
-    for (size_t ni = 0; ni < n_neg; ++ni) {
-      const NodeAnalysis& neg = *node->subs[node->n_positives + ni];
-      const ControlOption& nopt =
-          *cur->child_options[cur->conjunct_order.size() + ni];
-      std::string label = nopt.rule == "atom"
-                              ? "atom(" + neg.formula.relation() + ")"
-                              : nopt.rule;
-      p->ops.push_back({std::move(label), and_idx, nopt.fetch_bound});
-      neg_ops.push_back(static_cast<int32_t>(p->ops.size()) - 1);
-    }
-
-    for (size_t step = 0; step < cur->conjunct_order.size(); ++step) {
-      const NodeAnalysis& child = *node->subs[cur->conjunct_order[step]];
-      const ControlOption& copt = *cur->child_options[step];
-      PlainStage stage;
-      stage.kind = PlainStage::Kind::kExpand;
-      stage.leaf.op_idx = step_ops[step];
-      SI_RETURN_IF_ERROR(CompileLeaf(child, copt, /*bind_regs=*/true, p,
-                                     &var_regs, &stage.leaf));
-      p->stages.push_back(std::move(stage));
-    }
-    if (n_neg > 0) {
-      PlainStage stage;
-      stage.kind = PlainStage::Kind::kNegations;
-      for (size_t ni = 0; ni < n_neg; ++ni) {
-        const NodeAnalysis& neg = *node->subs[node->n_positives + ni];
-        const ControlOption& nopt =
-            *cur->child_options[cur->conjunct_order.size() + ni];
-        LeafCode leaf;
-        leaf.op_idx = neg_ops[ni];
-        SI_RETURN_IF_ERROR(
-            CompileLeaf(neg, nopt, /*bind_regs=*/false, p, &var_regs, &leaf));
-        stage.negs.push_back(std::move(leaf));
-      }
-      p->stages.push_back(std::move(stage));
-    }
-    for (const auto& [v, r] : var_regs) {
-      (void)r;
-      if (!param_vars.count(v)) domain.insert(v);
-    }
-    PlainStage fin;
-    fin.kind = PlainStage::Kind::kFinalize;
-    fin.op_idx = and_idx;
-    fin.layout = LayoutFor(domain, var_regs);
-    p->stages.push_back(std::move(fin));
-  } else {
-    std::string label = cur->rule == "atom"
-                            ? "atom(" + node->formula.relation() + ")"
-                            : cur->rule;
-    p->ops.push_back({std::move(label), parent_idx, cur->fetch_bound});
-    PlainStage stage;
-    stage.kind = PlainStage::Kind::kExpand;
-    stage.leaf.op_idx = static_cast<int32_t>(p->ops.size()) - 1;
-    SI_RETURN_IF_ERROR(
-        CompileLeaf(*node, *cur, /*bind_regs=*/true, p, &var_regs, &stage.leaf));
-    p->stages.push_back(std::move(stage));
-    for (const auto& [v, r] : var_regs) {
-      (void)r;
-      if (!param_vars.count(v)) domain.insert(v);
-    }
-  }
-
-  // ∃-projections innermost first, matching the evaluation (return) order.
-  for (auto it = exists_chain.rbegin(); it != exists_chain.rend(); ++it) {
-    for (const Variable& v : it->node->formula.quantified()) domain.erase(v);
-    PlainStage stage;
-    stage.kind = PlainStage::Kind::kExistsFinalize;
-    stage.op_idx = it->op_idx;
-    stage.layout = LayoutFor(domain, var_regs);
-    p->stages.push_back(std::move(stage));
-  }
-  p->final_layout = LayoutFor(domain, var_regs);
+  PlainLowering lowering(p);
+  SI_RETURN_IF_ERROR(
+      lowering.Lower(analysis->root(), *opt, env, dest, /*parent_op=*/-1)
+          .status());
 
   for (const Variable& v : q.head) {
     if (param_vars.count(v)) continue;
-    if (!domain.count(v)) {
-      return Status::Unimplemented("head variable '" + v.name() +
-                                   "' is not bound by the compiled plan");
-    }
-    p->head_regs.push_back(var_regs.at(v));
+    auto it = dest.find(v);
+    if (it == dest.end()) return UnboundError("head variable", v);
+    p->head_regs.push_back(it->second);
   }
   // The VM's flat frontier needs a row width of at least one Value even for
   // variable-free programs (a zero width would make every row buffer empty).
@@ -352,11 +356,11 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
   p->params = analysis->params();
   p->static_bound = plan.fetch_bound;
   p->keepalive = analysis;
-  p->embed_query = q;
 
-  std::map<Variable, Reg> var_regs;
+  RegMap var_regs;
   for (const Variable& v : p->params) {
-    SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p, v, &var_regs));
+    SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p));
+    var_regs.emplace(v, r);
     p->param_regs.emplace_back(v, r);
   }
 
@@ -366,19 +370,16 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
                       ap.fetch_bound});
   }
 
-  VarSet bound = p->params;
   for (size_t ai = 0; ai < plan.atom_plans.size(); ++ai) {
     const AtomPlan& ap = plan.atom_plans[ai];
     const CqAtom& atom = q.atoms()[ap.atom_index];
-    if (atom.args.size() > 64) {
-      return Status::Unimplemented(
-          "atom arity exceeds 64 (chase validity mask is one machine word)");
-    }
     AtomCode ac;
     ac.relation = InternRelation(p, atom.relation);
     ac.op_idx = static_cast<int32_t>(ai) + 1;
     ac.arity = atom.args.size();
 
+    // Which candidate positions are bound is the same for every candidate,
+    // so each step's value columns split into checks and binds here.
     std::vector<bool> pos_bound(ac.arity, false);
     for (size_t pos = 0; pos < ac.arity; ++pos) {
       const Term& t = atom.args[pos];
@@ -387,9 +388,9 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
         s.kind = Slot::Kind::kConst;
         s.index = InternConst(p, t.constant());
         pos_bound[pos] = true;
-      } else if (bound.count(t.var())) {
+      } else if (auto it = var_regs.find(t.var()); it != var_regs.end()) {
         s.kind = Slot::Kind::kReg;
-        s.reg = var_regs.at(t.var());
+        s.reg = it->second;
         pos_bound[pos] = true;
       }
       ac.seed.push_back(s);
@@ -400,24 +401,28 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
       sc.key_positions = step.key_positions;
       sc.value_positions = step.value_positions;
       sc.key_layout = Relation::CanonicalPositions(step.key_positions);
-      sc.value_layout = Relation::CanonicalPositions(step.value_positions);
       for (size_t pos : sc.key_layout) {
         if (pos >= ac.arity || !pos_bound[pos]) {
-          return Status::Unimplemented(
-              "chase step key position is not yet bound");
+          return Status::Internal("chase step key position is not yet bound");
         }
       }
-      for (size_t pos : sc.value_layout) {
+      const std::vector<size_t> value_layout =
+          Relation::CanonicalPositions(step.value_positions);
+      for (size_t i = 0; i < value_layout.size(); ++i) {
+        const size_t pos = value_layout[i];
         if (pos >= ac.arity) {
-          return Status::Unimplemented("chase step value position out of range");
+          return Status::Internal("chase step value position out of range");
         }
+        const ChaseColumn column{static_cast<uint32_t>(i),
+                                 static_cast<uint32_t>(pos)};
+        (pos_bound[pos] ? sc.checks : sc.binds).push_back(column);
         pos_bound[pos] = true;
       }
       ac.steps.push_back(std::move(sc));
     }
     for (size_t pos = 0; pos < ac.arity; ++pos) {
       if (!pos_bound[pos]) {
-        return Status::Unimplemented("chase leaves an atom position unbound");
+        return Status::Internal("chase leaves an atom position unbound");
       }
     }
     if (ap.needs_verification) {
@@ -426,24 +431,22 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
       ac.verify_positions = Relation::CanonicalPositions(ap.verify_key_positions);
     }
 
-    std::set<Variable> local_bound(bound.begin(), bound.end());
     for (size_t pos = 0; pos < ac.arity; ++pos) {
       const Term& t = atom.args[pos];
       UnifyStep s;
       if (t.is_const()) {
         s.kind = UnifyStep::Kind::kSkip;
-      } else if (local_bound.count(t.var())) {
+      } else if (auto it = var_regs.find(t.var()); it != var_regs.end()) {
         s.kind = UnifyStep::Kind::kCheckReg;
-        s.reg = var_regs.at(t.var());
+        s.reg = it->second;
       } else {
-        SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p, t.var(), &var_regs));
+        SI_ASSIGN_OR_RETURN(Reg r, AllocReg(p));
+        var_regs.emplace(t.var(), r);
         s.kind = UnifyStep::Kind::kBindReg;
         s.reg = r;
-        local_bound.insert(t.var());
       }
       ac.unify.push_back(s);
     }
-    bound = VarSet(local_bound.begin(), local_bound.end());
     p->atoms.push_back(std::move(ac));
   }
 
@@ -451,88 +454,32 @@ Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
     if (h.is_const()) continue;
     if (p->params.count(h.var())) continue;
     auto it = var_regs.find(h.var());
-    if (it == var_regs.end()) {
-      return Status::Unimplemented("head variable '" + h.var().name() +
-                                   "' is not bound by the chase");
-    }
-    p->embed_head_regs.push_back(it->second);
+    if (it == var_regs.end()) return UnboundError("head variable", h.var());
+    p->head_regs.push_back(it->second);
   }
   if (p->num_regs == 0) p->num_regs = 1;
   return std::shared_ptr<const CompiledProgram>(std::move(prog));
 }
 
-CompiledPlanSet::Mode CompiledPlanSet::ParseMode(std::string_view text) {
-  if (text == "off") return Mode::kOff;
-  if (text == "on") return Mode::kOn;
-  return Mode::kAuto;
-}
-
-const char* CompiledPlanSet::ModeName(Mode mode) {
-  switch (mode) {
-    case Mode::kOff:
-      return "off";
-    case Mode::kOn:
-      return "on";
-    case Mode::kAuto:
-      return "auto";
-  }
-  return "auto";
-}
-
-template <typename CompileFn>
-std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompile(
-    Mode mode, const std::string& key, const CompileFn& compile,
-    std::string* why, bool* failed) {
-  if (failed != nullptr) *failed = false;
-  if (mode == Mode::kOff) {
-    if (why != nullptr) *why = "off";
-    return nullptr;
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  PlanSlot& slot = slots_[key];
-  ++slot.sightings;
-  if (slot.program != nullptr) {
-    if (why != nullptr) why->clear();
-    return slot.program;
-  }
-  if (slot.failed) {
-    if (why != nullptr) *why = slot.reason;
-    if (failed != nullptr) *failed = true;
-    return nullptr;
-  }
-  if (mode == Mode::kAuto && slot.sightings < 2) {
-    if (why != nullptr) *why = "auto: deferred until second sighting";
-    return nullptr;
-  }
-  Result<std::shared_ptr<const CompiledProgram>> result = compile();
-  if (result.ok()) {
-    slot.program = std::move(result).ValueOrDie();
-    ++compiles_;
-    if (why != nullptr) why->clear();
-    return slot.program;
-  }
-  slot.failed = true;
-  slot.reason = result.status().message();
-  if (why != nullptr) *why = slot.reason;
-  if (failed != nullptr) *failed = true;
-  return nullptr;
-}
-
 std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompilePlain(
     Mode mode, const FoQuery& q,
     const std::shared_ptr<const ControllabilityAnalysis>& analysis,
-    const VarSet& param_vars, std::string* why, bool* failed) {
-  return GetOrCompile(
-      mode, "plain\x1f" + VarSetToString(param_vars),
-      [&] { return CompilePlain(q, analysis, param_vars); }, why, failed);
-}
-
-std::shared_ptr<const CompiledProgram> CompiledPlanSet::GetOrCompileEmbedded(
-    Mode mode, const std::shared_ptr<const EmbeddedCqAnalysis>& analysis,
-    std::string* why, bool* failed) {
-  return GetOrCompile(
-      mode, "embedded\x1f" + VarSetToString(analysis->params()),
-      [&] { return CompileEmbedded(analysis); }, why, failed);
+    const VarSet& param_vars, std::string* why) {
+  (void)mode;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = programs_.find(param_vars);
+  if (it == programs_.end()) {
+    Result<std::shared_ptr<const CompiledProgram>> compiled =
+        CompilePlain(q, analysis, param_vars);
+    if (!compiled.ok()) {
+      if (why != nullptr) *why = compiled.status().message();
+      return nullptr;
+    }
+    it = programs_.emplace(param_vars, std::move(compiled).ValueOrDie()).first;
+    ++compiles_;
+  }
+  if (why != nullptr) why->clear();
+  return it->second;
 }
 
 uint64_t CompiledPlanSet::compiles() const {

@@ -6,9 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 
-#include "core/bounded_eval.h"
 #include "core/controllability.h"
 #include "core/embedded_controllability.h"
 #include "exec/bytecode.h"
@@ -17,85 +15,58 @@
 
 namespace scalein::exec {
 
-/// Lowers a §4 plain-controllability derivation into register bytecode.
+/// Lowers the §4 plain-controllability derivation that controls `q` under
+/// `param_vars` into register bytecode: one PlainNode per derivation node,
+/// for every rule the analysis emits (atom, condition, and with safe
+/// negation, or, exists, forall(Q → Q')) at any depth. The VM executing the
+/// program issues the derivation's metered charges in derivation order and
+/// registers its ops in derivation pre-order, so answers, TripInfo, per-op
+/// accounting and sealed certificates depend only on the derivation.
 ///
-/// Supported shape (covers every derivation the parser's FO queries produce
-/// on the hot path): a chain of ∃-wrappers over one conjunction of
-/// atom/condition leaves with atom/condition negations, or a bare leaf —
-///   exists* ( and(leaf+; leaf*) | leaf ),  leaf := atom | condition.
-/// Derivations using the "or"/"forall" rules, nested non-leaf conjuncts, or
-/// other unsupported structure are rejected with a reason (the caller falls
-/// back to the interpreter — a sanctioned path counted by
-/// `exec.compiled_fallbacks`). The compiled program issues the *identical*
-/// sequence of metered charges as the interpreter, so answers, TripInfo,
-/// per-op/per-relation accounting, and sealed certificates are byte-equal.
-///
+/// Fails only when the analysis does not control `param_vars`
+/// (FailedPrecondition, "query is not controlled by the given parameters …")
+/// or when the register file is exhausted; an Internal error would mean the
+/// analysis emitted a derivation that uses a variable before binding it.
 /// `analysis` is retained by the returned program (the bytecode points into
-/// the analysis' access statements and formulas).
+/// its access statements and formulas).
 Result<std::shared_ptr<const CompiledProgram>> CompilePlain(
     const FoQuery& q,
     std::shared_ptr<const ControllabilityAnalysis> analysis,
     const VarSet& param_vars);
 
 /// Lowers a Proposition 4.5 embedded chase plan into register bytecode.
-/// Rejects non-scale-independent analyses and atoms of arity > 64 (the
-/// chase candidate validity mask is one machine word).
+/// Fails only for an analysis that found no plan, or when the register file
+/// is exhausted.
 Result<std::shared_ptr<const CompiledProgram>> CompileEmbedded(
     std::shared_ptr<const EmbeddedCqAnalysis> analysis);
 
-/// The compiled-plan side of one AnalysisCache entry: programs per parameter
-/// set, living and dying with the cached derivation. The cache drops the
-/// whole entry on DDL/env-drift/eviction, so a program can never outlive (or
-/// lag behind) the analysis it was lowered from — the invalidation story of
-/// the derivation and its bytecode is one object.
+/// The compiled programs of one AnalysisCache entry, one per parameter set,
+/// living and dying with the cached derivation. The cache drops the whole
+/// entry on DDL/env-drift/eviction, so a program can never outlive (or lag
+/// behind) the analysis it was lowered from.
 ///
-/// Thread-safe. In kAuto mode a program is compiled on the *second* sighting
-/// of a parameter-set key (first sightings defer — one-off queries never pay
-/// compilation); kOn compiles immediately; kOff always returns nullptr.
-/// Compile failures are cached per key with their reason, so an unsupported
-/// shape costs one rejection, not one per request.
+/// Thread-safe. A program is compiled on the first sighting of its
+/// parameter set and reused after that; a failed compilation is not cached
+/// (it costs one BestOptionFor lookup).
 class CompiledPlanSet {
  public:
-  enum class Mode : uint8_t { kOff, kOn, kAuto };
-
-  /// Parses "off"/"on"/"auto" (anything else: kAuto).
-  static Mode ParseMode(std::string_view text);
-  static const char* ModeName(Mode mode);
+  /// Compilation policy. There is only one: compile on first sighting.
+  enum class Mode : uint8_t { kAuto };
 
   /// The compiled plain program for `param_vars`, or nullptr with `*why`
-  /// explaining the deferral ("auto: first sighting") or failure
-  /// ("unsupported: ..."). `*failed` (optional) is true only for genuine
-  /// compile failures — the fallback-counter signal.
+  /// holding the compile error (a parameter set the analysis does not
+  /// control).
   std::shared_ptr<const CompiledProgram> GetOrCompilePlain(
       Mode mode, const FoQuery& q,
       const std::shared_ptr<const ControllabilityAnalysis>& analysis,
-      const VarSet& param_vars, std::string* why, bool* failed = nullptr);
-
-  /// Embedded counterpart, keyed by the analysis' parameter set.
-  std::shared_ptr<const CompiledProgram> GetOrCompileEmbedded(
-      Mode mode, const std::shared_ptr<const EmbeddedCqAnalysis>& analysis,
-      std::string* why, bool* failed = nullptr);
+      const VarSet& param_vars, std::string* why);
 
   /// Number of successful compilations (tests assert recompile-after-DDL).
   uint64_t compiles() const;
 
  private:
-  struct PlanSlot {
-    std::shared_ptr<const CompiledProgram> program;
-    bool failed = false;
-    std::string reason;
-    uint32_t sightings = 0;
-  };
-
-  template <typename CompileFn>
-  std::shared_ptr<const CompiledProgram> GetOrCompile(Mode mode,
-                                                      const std::string& key,
-                                                      const CompileFn& compile,
-                                                      std::string* why,
-                                                      bool* failed);
-
   mutable std::mutex mu_;
-  std::map<std::string, PlanSlot> slots_;
+  std::map<VarSet, std::shared_ptr<const CompiledProgram>> programs_;
   uint64_t compiles_ = 0;
 };
 

@@ -7,98 +7,67 @@
 #include "eval/answer_set.h"
 #include "exec/bytecode.h"
 #include "exec/exec_context.h"
-#include "exec/governor.h"
 #include "relational/database.h"
 #include "util/status.h"
 
 namespace scalein::exec {
 
-/// Register-bytecode executor for compiled bounded plans (exec/compiler.h).
+/// Register-bytecode executor for compiled bounded plans (exec/compiler.h),
+/// the engine behind every BoundedEvaluator entry point.
 ///
-/// Drop-in twin of core's BoundedEvaluator for programs the compiler
-/// accepted: same entry points, same limits/enforcement/timing knobs, and —
-/// the contract everything else hangs off — the *identical* sequence of
-/// metered charges against an identically-registered op table. Answers,
-/// fetch totals, per-relation/per-op accounting, TripInfo, and sealed access
-/// certificates are byte-equal to the interpreter at any thread count. Like
-/// the interpreter, each evaluation is one sequential walk; only the batch
-/// entry points spread whole evaluations over the worker pool.
-///
-/// What the compiled path removes is the interpreter's per-tuple data
-/// structures: frontiers are flat register rows instead of
-/// std::map<Variable, Value> bindings, unification is a fused step loop
-/// (computed-goto dispatch where the compiler supports it) instead of map
-/// probes, and set semantics are recovered by sort+unique over fixed-width
-/// rows. Timing capture (`set_collect_timing`) remains supported but
-/// per-node wall times are *approximate* on the compiled path (wrapper ops
-/// share one start clock); timing never feeds certificates or accounting.
-class CompiledEvaluator {
- public:
-  explicit CompiledEvaluator(Database* db) : db_(db) {}
+/// A plain program is a tree of PlainNodes. The VM visits a node once per
+/// register row: the frontier is a flat array of fixed-width rows, leaves
+/// unify fetched tuples through fused step loops, and a node's result set
+/// is recovered by sort+unique over its layout registers, which are ordered
+/// by variable id exactly like the derivation's binding sets. Visits happen
+/// in derivation order and every fetch is metered through ExecContext, so
+/// the sequence of charges — and with it answers, TripInfo, per-op and
+/// per-relation accounting and sealed certificates — is a function of the
+/// derivation alone. Each evaluation is one sequential walk.
 
-  /// Mirrors BoundedEvaluator::set_enforce_bounds: any access returning more
-  /// rows than its statement's N fails with ResourceExhausted.
-  void set_enforce_bounds(bool enforce) { enforce_bounds_ = enforce; }
-
-  void set_fetch_budget(uint64_t budget) { limits_.fetch_budget = budget; }
-
-  /// Per-evaluation resource envelope, armed on each evaluation's fresh
-  /// ExecContext — exactly like the interpreter.
-  void set_limits(const GovernorLimits& limits) { limits_ = limits; }
-  const GovernorLimits& limits() const { return limits_; }
-
-  void set_collect_timing(bool collect) { collect_timing_ = collect; }
-
-  /// Executes a kPlain program. `params` must bind exactly the parameter
-  /// set the program was compiled for.
-  Result<AnswerSet> Evaluate(const CompiledProgram& program,
-                             const Binding& params,
-                             BoundedEvalStats* stats = nullptr) const;
-
-  /// Degradation-aware kPlain execution: a governor trip returns the partial
-  /// answer set with the trip record and op snapshot, like
-  /// BoundedEvaluator::EvaluateDegraded.
-  Result<Degraded<AnswerSet>> EvaluateDegraded(
-      const CompiledProgram& program, const Binding& params,
-      BoundedEvalStats* stats = nullptr) const;
-
-  /// Batch kPlain execution on the global worker pool; results in input
-  /// order, stats merged in input order.
-  std::vector<Result<AnswerSet>> EvaluateBatch(
-      const CompiledProgram& program, const std::vector<Binding>& batch,
-      BoundedEvalStats* stats = nullptr) const;
-
-  /// Executes a kEmbedded program (Proposition 4.5 chase).
-  Result<AnswerSet> EvaluateEmbedded(const CompiledProgram& program,
-                                     const Binding& params,
-                                     BoundedEvalStats* stats = nullptr) const;
-
-  std::vector<Result<AnswerSet>> EvaluateEmbeddedBatch(
-      const CompiledProgram& program, const std::vector<Binding>& batch,
-      BoundedEvalStats* stats = nullptr) const;
-
-  /// Degradation-aware kEmbedded execution, with the same optional
-  /// approx-engine fallback as the interpreter.
-  Result<Degraded<AnswerSet>> EvaluateEmbeddedDegraded(
-      const CompiledProgram& program, const Binding& params,
-      BoundedEvalStats* stats = nullptr, bool fallback_to_approx = false) const;
-
- private:
-  Result<AnswerSet> EvaluateEmbeddedImpl(const CompiledProgram& program,
-                                         const Binding& params,
-                                         ExecContext* ctx,
-                                         bool capture_ops) const;
-
-  Database* db_;
-  bool enforce_bounds_ = false;
-  GovernorLimits limits_;
-  bool collect_timing_ = false;
+/// The distinct result rows of one plain run, `width` registers each.
+struct PlainRows {
+  std::vector<Value> buf;
+  size_t width = 0;
+  size_t size() const { return width == 0 ? 0 : buf.size() / width; }
+  const Value* row(size_t i) const { return buf.data() + i * width; }
 };
 
+/// Rejects a binding that does not bind exactly the program's parameters
+/// (plain) or misses / adds to them (embedded), with InvalidArgument.
+Status CheckProgramParams(const CompiledProgram& program,
+                          const Binding& params);
+
+/// Runs a kPlain program for `params` (already checked) in `ctx`, leaving
+/// the root's rows in `rows`. With `register_ops` the program's op table is
+/// registered into `ctx` first and every visit charges its op; a failed
+/// context leaves no rows.
+void RunPlain(const CompiledProgram& program, const Database& db,
+              bool enforce_bounds, const Binding& params, bool register_ops,
+              ExecContext* ctx, PlainRows* rows);
+
+/// Projects `rows` onto the program's open head registers. Each distinct
+/// answer charges the output-row cap; the tripping answer is withdrawn, so
+/// exactly `cap` answers survive.
+void EmitPlainAnswers(const CompiledProgram& program, const PlainRows& rows,
+                      ExecContext* ctx, AnswerSet* answers);
+
+/// Runs a kEmbedded program (the Proposition 4.5 chase) for `params`
+/// (already checked) in `ctx`. With `register_ops` the "embedded-cq" root
+/// and one "chase(R)" op per atom are registered and charged.
+Result<AnswerSet> RunEmbedded(const CompiledProgram& program,
+                              const Database& db, bool enforce_bounds,
+                              const Binding& params, bool register_ops,
+                              ExecContext* ctx);
+
 /// Builds every index `program` can probe (plain leaves or embedded chase
-/// steps + verification), so the lanes of a batch only ever find them —
-/// the compiled counterpart of the interpreter's Prebuild* helpers.
-void PrebuildCompiledIndexes(const Database& db, const CompiledProgram& program);
+/// steps + verification), so the lanes of a batch only ever find them.
+void PrebuildCompiledIndexes(const Database& db,
+                             const CompiledProgram& program);
+
+/// There is one bounded evaluator; this name is kept for callers that run
+/// compiled programs through it.
+using CompiledEvaluator = ::scalein::BoundedEvaluator;
 
 }  // namespace scalein::exec
 

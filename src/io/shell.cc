@@ -127,10 +127,6 @@ Shell::Shell() {
           .Set(static_cast<int64_t>(*parsed));
     }
   }
-  if (const char* mode = std::getenv("SCALEIN_COMPILE");
-      mode != nullptr && mode[0] != '\0') {
-    compile_mode_ = exec::CompiledPlanSet::ParseMode(mode);
-  }
 }
 
 Shell::~Shell() {
@@ -164,10 +160,6 @@ std::string Shell::HelpText() {
       "  explain qdsi <M> <cq-rule> | explain analyze <fo-query>\n"
       "  qdsi <M> Q(x) :- <CQ body>\n"
       "  limit [fetch=N] [deadline=MS] [rows=N] | limit off\n"
-      "  compile [on|off|auto|status]  bytecode compilation of bounded plans\n"
-      "                 (auto: compile a parameter-set on its 2nd sighting;\n"
-      "                 off restores pure interpretation; also settable via\n"
-      "                 SCALEIN_COMPILE)\n"
       "  threads [N]    show or resize the worker pool (batch lanes, server\n"
       "                 run slots)\n"
       "  stats [prom] | stats watch <secs> [path] | stats watch off\n"
@@ -298,8 +290,6 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 
   if (command == "limit") return RunLimit(rest);
 
-  if (command == "compile") return RunCompile(rest);
-
   if (command == "qdsi") return RunQdsi(rest, /*explain=*/false);
 
   if (command == "journal") return RunJournal();
@@ -349,39 +339,23 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
                            {obs::EventArg("query", query_text)});
   }
 
-  // Compiled path: consult the cache entry's plan set under the session's
-  // compile mode. nullptr (deferred, unsupported, or off) means interpret;
-  // a genuine compile failure additionally counts as a fallback.
-  VarSet param_vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  std::shared_ptr<const exec::CompiledProgram> program;
-  std::string compile_why;
-  if (compiled_set != nullptr) {
-    bool compile_failed = false;
-    program = compiled_set->GetOrCompilePlain(compile_mode_, q, analysis,
-                                              param_vars, &compile_why,
-                                              &compile_failed);
-    if (compile_failed) {
-      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
-    }
-  }
+  // The cache entry's program for this parameter set, compiled on first
+  // sighting. A parameter set the derivation does not control has none; the
+  // analysis-taking call below then surfaces the "not controlled" error.
+  std::shared_ptr<const exec::CompiledProgram> program =
+      compiled_set->GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q,
+                                      analysis, BoundVariables(params), nullptr);
   BoundedEvalStats stats;
   stats.capture_ops = explain;
   const uint64_t start_ns = obs::MonotonicNowNs();
   Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      exec::CompiledEvaluator vm(db_.get());
-      vm.set_collect_timing(explain);
-      vm.set_limits(limits_);
-      return vm.EvaluateDegraded(*program, params, &stats);
-    }
     BoundedEvaluator evaluator(db_.get());
     evaluator.set_collect_timing(explain);
     evaluator.set_limits(limits_);
+    if (program != nullptr) {
+      metrics_->GetCounter("exec.compiled_hits").Increment();
+      return evaluator.EvaluateDegraded(*program, params, &stats);
+    }
     return evaluator.EvaluateDegraded(q, *analysis, params, &stats);
   }();
   const double elapsed_ms =
@@ -389,8 +363,8 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
   if (!evaled.ok()) {
     // A non-controllable query is workload signal, not just an error: seal a
     // no-static-bound certificate for it so `workload` and the offline report
-    // can rank recurring classes that a view would make controllable
-    // (ROADMAP item 5) before surfacing the original error.
+    // can rank recurring classes that a view would make controllable, before
+    // surfacing the original error.
     if (evaled.status().code() == StatusCode::kFailedPrecondition &&
         evaled.status().message().find("not controlled") !=
             std::string::npos) {
@@ -467,12 +441,7 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
         obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
                                   stats.index_lookups, stats.static_bound,
                                   degraded.trip);
-    if (program != nullptr) {
-      out += "compiled:\n" + program->Disassemble();
-    } else if (compile_mode_ != exec::CompiledPlanSet::Mode::kOff &&
-               !compile_why.empty()) {
-      out += "compiled: interpreted (" + compile_why + ")\n";
-    }
+    if (program != nullptr) out += "compiled:\n" + program->Disassemble();
     return out +
            StrFormat("(%zu answers%s)\n", answers.size(),
                      degraded.complete ? "" : ", partial") +
@@ -514,14 +483,10 @@ Result<ServePlan> Shell::PlanForServe(std::string_view rest) {
                                                     plan.query_text, schema_,
                                                     access_, {},
                                                     &plan.compiled));
-  VarSet param_vars;
-  for (const auto& [v, val] : plan.params) {
-    (void)val;
-    param_vars.insert(v);
-  }
   // The same option the evaluator will execute, so the bound the admission
   // decision cites is the bound the certificate will carry.
-  const ControlOption* opt = plan.analysis->BestOptionFor(param_vars);
+  const ControlOption* opt =
+      plan.analysis->BestOptionFor(BoundVariables(plan.params));
   plan.static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
   return plan;
 }
@@ -538,36 +503,21 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
     obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
                            {obs::EventArg("query", plan.query_text)});
   }
-  // Serve-side compiled path: thread-safe plan set, shared across sessions
-  // via the cache entry. Any compile failure falls back to interpretation
-  // (the sanctioned path, counted by exec.compiled_fallbacks).
-  VarSet param_vars;
-  for (const auto& [v, val] : plan.params) {
-    (void)val;
-    param_vars.insert(v);
-  }
-  std::shared_ptr<const exec::CompiledProgram> program;
-  if (plan.compiled != nullptr) {
-    std::string why;
-    bool compile_failed = false;
-    program = plan.compiled->GetOrCompilePlain(compile_mode_, plan.query,
-                                               plan.analysis, param_vars, &why,
-                                               &compile_failed);
-    if (compile_failed) {
-      metrics_->GetCounter("exec.compiled_fallbacks").Increment();
-    }
-  }
+  // The plan set is thread-safe and shared across sessions via the cache
+  // entry, so a program compiled by one session serves them all.
+  std::shared_ptr<const exec::CompiledProgram> program =
+      plan.compiled->GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto,
+                                       plan.query, plan.analysis,
+                                       BoundVariables(plan.params), nullptr);
   BoundedEvalStats stats;
   const uint64_t start_ns = obs::MonotonicNowNs();
   Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      exec::CompiledEvaluator vm(db_.get());
-      vm.set_limits(limits);
-      return vm.EvaluateDegraded(*program, plan.params, &stats);
-    }
     BoundedEvaluator evaluator(db_.get());
     evaluator.set_limits(limits);
+    if (program != nullptr) {
+      metrics_->GetCounter("exec.compiled_hits").Increment();
+      return evaluator.EvaluateDegraded(*program, plan.params, &stats);
+    }
     return evaluator.EvaluateDegraded(plan.query, *plan.analysis, plan.params,
                                       &stats);
   }();
@@ -928,27 +878,6 @@ Result<std::string> Shell::RunSlowlog(std::string_view rest) {
   gauge.Set(static_cast<int64_t>(ms));
   return StrFormat("slow-query threshold: %llu ms\n",
                    static_cast<unsigned long long>(ms));
-}
-
-Result<std::string> Shell::RunCompile(std::string_view rest) {
-  const std::string arg(StripWhitespace(rest));
-  auto render = [&] {
-    std::string out = std::string("compile mode: ") +
-                      exec::CompiledPlanSet::ModeName(compile_mode_) + "\n";
-    out += StrFormat(
-        "  hits=%llu fallbacks=%llu\n",
-        static_cast<unsigned long long>(
-            metrics_->GetCounter("exec.compiled_hits").value()),
-        static_cast<unsigned long long>(
-            metrics_->GetCounter("exec.compiled_fallbacks").value()));
-    return out;
-  };
-  if (arg.empty() || arg == "status") return render();
-  if (arg != "on" && arg != "off" && arg != "auto") {
-    return Status::InvalidArgument("usage: compile [on|off|auto|status]");
-  }
-  compile_mode_ = exec::CompiledPlanSet::ParseMode(arg);
-  return render();
 }
 
 Result<std::string> Shell::RunLimit(std::string_view rest) {

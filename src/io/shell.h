@@ -33,9 +33,9 @@ struct ServePlan {
   Binding params;
   FoQuery query;
   std::shared_ptr<const ControllabilityAnalysis> analysis;
-  /// The analysis-cache entry's compiled-plan set; EvalForServe consults it
-  /// (under the session's compile mode) and falls back to interpretation on
-  /// any compile failure. Dropped with the cache entry on DDL.
+  /// The analysis-cache entry's compiled-plan set; EvalForServe takes the
+  /// program for its parameter set from it (compiling on first sighting).
+  /// Dropped with the cache entry on DDL.
   std::shared_ptr<exec::CompiledPlanSet> compiled;
   /// BestOptionFor(params)->fetch_bound; < 0 when the query is not
   /// controlled by the given parameters (nothing to admit against).
@@ -72,7 +72,6 @@ struct ServeEvalOutcome {
 ///   explain qdsi <M> Q(x) :- <CQ body> | explain analyze <fo-query>
 ///   qdsi <M> Q(x) :- <CQ body>
 ///   limit [fetch=N] [deadline=MS] [rows=N] | limit off
-///   compile [on|off|auto|status]   bytecode compilation of bounded plans
 ///   threads [N]    size the worker pool (batch lanes, server run slots)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
 ///   journal | certify [dump.json|journal.jsonl] | dump [path]
@@ -182,9 +181,6 @@ class Shell {
   Result<std::string> RunAnalyze(std::string_view rest, bool explain);
   /// Parses `limit` arguments into limits_ ("off" clears them).
   Result<std::string> RunLimit(std::string_view rest);
-  /// `compile [on|off|auto|status]`: the session's bytecode-compilation mode
-  /// (also settable via SCALEIN_COMPILE). `status` reports mode + counters.
-  Result<std::string> RunCompile(std::string_view rest);
   Result<std::string> RunStats(std::string_view rest);
   Result<std::string> RunJournal() const;
   /// `certify` re-verifies the live journal; `certify <dump.json>` loads
@@ -206,11 +202,6 @@ class Shell {
   Schema schema_;
   AccessSchema access_;
   exec::GovernorLimits limits_;
-  /// Bytecode compilation of bounded plans (SCALEIN_COMPILE / `compile`):
-  /// kAuto compiles a parameter-set on its second sighting, kOn immediately,
-  /// kOff never — kOff restores the interpreter byte for byte.
-  exec::CompiledPlanSet::Mode compile_mode_ =
-      exec::CompiledPlanSet::Mode::kAuto;
   std::unique_ptr<Database> db_;
   // Behind pointers: these own mutexes/threads, and Shell must stay movable.
   std::unique_ptr<obs::MetricsRegistry> metrics_ =

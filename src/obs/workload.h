@@ -12,11 +12,11 @@
 
 namespace scalein::obs {
 
-/// Per-query-fingerprint workload telemetry: everything the view advisor
-/// (ROADMAP item 5) and bound-based admission control (item 1) need to know
-/// about a recurring query class — how often it runs, how its static
-/// Theorem 4.2 bound compares to what it actually fetched, how often it
-/// tripped the governor or turned out non-controllable.
+/// Per-query-fingerprint workload telemetry: everything the view advisor and
+/// bound-based admission control need to know about a recurring query
+/// class — how often it runs, how its static Theorem 4.2 bound compares to
+/// what it actually fetched, how often it tripped the governor or turned out
+/// non-controllable.
 struct WorkloadFingerprintStats {
   std::string fingerprint;
   std::string sample_query;    ///< first query text seen for this class

@@ -14,7 +14,7 @@ namespace scalein::par {
 
 /// Fixed pool of worker threads executing index-addressed morsels — the
 /// process-wide execution substrate for batch bounded evaluation
-/// (`EvaluateBatch` / `EvaluateEmbeddedBatch` in both executors), where each
+/// (`BoundedEvaluator::EvaluateBatch` / `EvaluateEmbeddedBatch`), where each
 /// morsel is one whole evaluation.
 ///
 /// The scheduling model is deliberately minimal (morsel-driven, work-stealing

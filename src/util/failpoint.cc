@@ -156,7 +156,7 @@ Status Failpoints::Configure(const std::string& spec) {
   rng_state_.store(seed, std::memory_order_relaxed);
   hits_.store(0, std::memory_order_relaxed);
   fires_.store(0, std::memory_order_relaxed);
-  if (!sites_.empty()) armed_flag_.store(true, std::memory_order_relaxed);
+  if (!sites_.empty()) armed_flag_.store(true, std::memory_order_release);
   return Status::OK();
 }
 
@@ -167,11 +167,11 @@ Status Failpoints::InitFromEnv() {
 }
 
 void Failpoints::Clear() {
-  armed_flag_.store(false, std::memory_order_relaxed);
-  sites_.clear();
+  armed_flag_.store(false, std::memory_order_release);
 }
 
 Status Failpoints::Hit(const char* site) {
+  if (!armed()) return Status::OK();
   for (const std::unique_ptr<SiteState>& state : sites_) {
     const FailpointConfig& config = state->config;
     if (config.site != site) continue;
@@ -216,6 +216,7 @@ Status Failpoints::Hit(const char* site) {
 
 std::vector<FailpointConfig> Failpoints::configs() const {
   std::vector<FailpointConfig> out;
+  if (!armed()) return out;
   out.reserve(sites_.size());
   for (const std::unique_ptr<SiteState>& state : sites_) {
     out.push_back(state->config);

@@ -75,8 +75,12 @@ struct FailpointConfig {
 /// kUnknown and surfaces the Status in the decision's `error` field — it
 /// never forges a yes/no.
 ///
-/// Thread safety: Configure/Clear must not race with hits (arm before the
-/// workload, as the chaos harness does); counters use relaxed atomics.
+/// Thread safety: Configure must not race with hits (arm before the
+/// workload, as the chaos harness does). It publishes the sites with a
+/// release store that `armed()` reads with acquire, so a thread that sees
+/// the registry armed sees every site. Clear only disarms: it frees nothing,
+/// so it may run while another thread is still inside Hit. Counters use
+/// relaxed atomics.
 class Failpoints {
  public:
   /// Process-wide registry used by the SCALEIN_FAILPOINT macro.
@@ -84,7 +88,7 @@ class Failpoints {
 
   /// True when any site is armed; the macro's fast-path gate.
   static bool armed() {
-    return armed_flag_.load(std::memory_order_relaxed);
+    return armed_flag_.load(std::memory_order_acquire);
   }
 
   /// Parses `spec` and replaces the armed configuration (empty spec = clear).
@@ -94,12 +98,13 @@ class Failpoints {
   /// variable is unset or empty. Returns the parse status.
   Status InitFromEnv();
 
-  /// Disarms every site.
+  /// Disarms every site. The site table stays allocated until the next
+  /// Configure, so a concurrent Hit never reads freed state.
   void Clear();
 
   /// Slow path behind the macro: looks up `site` and applies its action.
-  /// Unconfigured sites return OK. Every hit of a configured site is counted
-  /// whether or not it fires.
+  /// Unconfigured sites, and every site while disarmed, return OK. Every hit
+  /// of an armed site is counted whether or not it fires.
   Status Hit(const char* site);
 
   /// Total fires (error or delay actions taken) since the last Configure.
@@ -107,7 +112,8 @@ class Failpoints {
   /// Hits on configured sites since the last Configure.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
 
-  /// The currently armed configuration (for tests and diagnostics).
+  /// The currently armed configuration (for tests and diagnostics); empty
+  /// while disarmed.
   std::vector<FailpointConfig> configs() const;
 
   /// Observer invoked on every fire with (site, action name) — how the
@@ -127,7 +133,7 @@ class Failpoints {
 
   static std::atomic<bool> armed_flag_;
 
-  // Swapped wholesale by Configure; sized at arm time, stable while armed.
+  // Rebuilt only by Configure; stable while armed and after Clear.
   std::vector<std::unique_ptr<SiteState>> sites_;
   std::atomic<uint64_t> rng_state_{0};
   std::atomic<uint64_t> hits_{0};

@@ -1,22 +1,37 @@
-// Differential harness for the register-bytecode VM (exec/vm.h): the
-// compiled path must be byte-identical to the interpreter — answers, fetch
-// totals, per-relation and per-op accounting, trip records, and sealed
-// access certificates — at any thread count, with and without governor
-// trips. Every comparison here runs at threads {1, 4}.
-
-#include "exec/vm.h"
+// Golden certificate corpus for the bounded executor (exec/compiler.h,
+// exec/vm.h). tests/golden/bounded_certs.txt holds one line per case: the
+// answer digest, tuples fetched, index lookups, per-relation fetches, the
+// trip record and the digest of the sealed CertificatePayload. The corpus was
+// recorded from the interpreted derivation walk the register VM replaced;
+// every line must reproduce byte for byte at 1 and 4 worker threads.
+//
+// Variable ids follow interning order, and binding-set order (and so the
+// point where a limit trips) follows the ids. The corpus therefore runs in
+// one fixed order in a fresh process, and nothing in this binary interns a
+// variable before it: the golden test is defined first, and the plan-set
+// and shell tests after it only run once it has. On a mismatch the produced
+// corpus is written to bounded_certs.actual.txt in the working directory.
 
 #include <gtest/gtest.h>
+
+#include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <set>
+#include <sstream>
 
 #include "core/analysis_cache.h"
 #include "core/bounded_eval.h"
 #include "exec/compiler.h"
 #include "io/shell.h"
+#include "eval/answer_set.h"
+#include "obs/flight_recorder.h"
 #include "obs/journal.h"
 #include "par/worker_pool.h"
 #include "query/parser.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
+#include "workload/formula_gen.h"
 #include "workload/social_gen.h"
 
 namespace scalein {
@@ -30,43 +45,44 @@ FoQuery FQ(const char* text, const Schema& s) {
   return *std::move(q);
 }
 
-std::shared_ptr<const ControllabilityAnalysis> Analyze(const FoQuery& q,
-                                                       const Schema& s,
-                                                       const AccessSchema& a) {
+ControllabilityAnalysis Analyze(const FoQuery& q, const Schema& s,
+                                const AccessSchema& a) {
   Result<ControllabilityAnalysis> r =
       ControllabilityAnalysis::Analyze(q.body, s, a);
   SI_CHECK_MSG(r.ok(), r.status().message().c_str());
-  return std::make_shared<const ControllabilityAnalysis>(*std::move(r));
+  return *std::move(r);
 }
 
-VarSet VarsOf(const Binding& params) {
-  VarSet vars;
-  for (const auto& [v, val] : params) {
-    (void)val;
-    vars.insert(v);
+std::string Hex(uint64_t h) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+std::string AnswerText(const AnswerSet& answers) {
+  std::string text;
+  for (const Tuple& t : answers) {
+    for (const Value& v : t) {
+      text += v.ToString();
+      text += '\x1f';
+    }
+    text += '\n';
   }
-  return vars;
+  return std::to_string(answers.size()) + ":" + Hex(obs::Fnv1a64(text));
 }
-
-/// Restores a single-lane pool when a test returns (other tests in this
-/// binary assume the default).
-struct PoolGuard {
-  ~PoolGuard() { par::WorkerPool::Global().Resize(1); }
-};
 
 /// Seals a certificate from one evaluation's stats exactly like the shell
-/// does; byte-comparing the payloads of the interpreted and compiled runs is
-/// the certificate-equality check CI's bench gate also enforces.
-std::string SealedPayload(const BoundedEvalStats& stats, bool tripped,
-                          const exec::TripInfo& trip) {
+/// does and returns the digest of its payload.
+std::string CertDigest(const BoundedEvalStats& stats, bool tripped,
+                       const exec::TripInfo& trip) {
   obs::AccessCertificate cert;
-  cert.query_fingerprint = "fp-differential";
+  cert.query_fingerprint = "fp-golden";
   cert.query_id = "s0-q0";
   cert.query_text = "Q";
   cert.static_bound = stats.static_bound;
   cert.actual_fetches = stats.base_tuples_fetched;
   cert.index_lookups = stats.index_lookups;
-  cert.ops.reserve(stats.ops.size());
   for (const exec::OpCounters& op : stats.ops) {
     obs::CertOp co;
     co.label = op.label;
@@ -79,92 +95,138 @@ std::string SealedPayload(const BoundedEvalStats& stats, bool tripped,
   cert.tripped = tripped;
   if (tripped) cert.trip_reason = trip.ToString();
   obs::SealCertificate(&cert);
-  EXPECT_TRUE(obs::VerifyCertificate(cert));
-  return obs::CertificatePayload(cert);
+  SI_CHECK(obs::VerifyCertificate(cert));
+  return Hex(obs::Fnv1a64(obs::CertificatePayload(cert)));
 }
 
-void ExpectSameStats(const BoundedEvalStats& a, const BoundedEvalStats& b,
-                     const char* label) {
-  EXPECT_EQ(a.base_tuples_fetched, b.base_tuples_fetched) << label;
-  EXPECT_EQ(a.index_lookups, b.index_lookups) << label;
-  EXPECT_EQ(a.fetched_by_relation, b.fetched_by_relation) << label;
-  EXPECT_EQ(a.static_bound, b.static_bound) << label;
-  ASSERT_EQ(a.ops.size(), b.ops.size()) << label;
-  for (size_t i = 0; i < a.ops.size(); ++i) {
-    const exec::OpCounters& x = a.ops[i];
-    const exec::OpCounters& y = b.ops[i];
-    EXPECT_EQ(x.label, y.label) << label << " op " << i;
-    EXPECT_EQ(x.id, y.id) << label << " op " << i;
-    EXPECT_EQ(x.parent, y.parent) << label << " op " << i;
-    EXPECT_EQ(x.rows_out, y.rows_out) << label << " op " << x.label;
-    EXPECT_EQ(x.tuples_fetched, y.tuples_fetched) << label << " op " << x.label;
-    EXPECT_EQ(x.index_lookups, y.index_lookups) << label << " op " << x.label;
-    EXPECT_EQ(x.static_bound, y.static_bound) << label << " op " << x.label;
+std::string StatsText(const BoundedEvalStats& s) {
+  std::string out = "f=" + std::to_string(s.base_tuples_fetched) +
+                    " l=" + std::to_string(s.index_lookups) + " rel=";
+  for (const auto& [name, n] : s.fetched_by_relation) {
+    out += name + ":" + std::to_string(n) + ",";
   }
+  std::ostringstream bound;
+  bound << s.static_bound;
+  return out + " b=" + bound.str();
 }
 
-void ExpectSameTrip(const exec::TripInfo& a, const exec::TripInfo& b,
-                    const char* label) {
-  EXPECT_EQ(a.kind, b.kind) << label;
-  EXPECT_EQ(a.detail, b.detail) << label;
-  EXPECT_EQ(a.op_id, b.op_id) << label;
-  EXPECT_EQ(a.op_label, b.op_label) << label;
-  EXPECT_EQ(a.fetched_at_trip, b.fetched_at_trip) << label;
+std::string ErrorText(const Status& s) {
+  return std::string("err=") + StatusCodeName(s.code()) + ":" + s.message();
 }
 
-/// The core differential: runs `q` interpreted and compiled under identical
-/// configuration at threads {1, 4} and asserts byte-identity of every
-/// observable (including the degraded/tripped path and sealed certificates).
-void ExpectPlainDifferentialEqual(const FoQuery& q,
-                                  std::shared_ptr<const ControllabilityAnalysis>
-                                      analysis,
-                                  Database* db, const Binding& params,
-                                  const exec::GovernorLimits& limits,
-                                  bool enforce) {
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompilePlain(q, analysis, VarsOf(params));
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  PoolGuard guard;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    const std::string label =
-        "threads=" + std::to_string(threads);
+/// Runs the cases in order and collects one line per evaluation, plus the
+/// derivation rules (op labels) the fuzz cases exercised.
+class Corpus {
+ public:
+  std::vector<std::string> lines;
+  std::set<std::string> rules;
 
-    BoundedEvaluator interp(db);
-    interp.set_limits(limits);
-    interp.set_enforce_bounds(enforce);
-    BoundedEvalStats istats;
-    istats.capture_ops = true;
-    Result<exec::Degraded<AnswerSet>> iref =
-        interp.EvaluateDegraded(q, *analysis, params, &istats);
-
-    exec::CompiledEvaluator vm(db);
-    vm.set_limits(limits);
-    vm.set_enforce_bounds(enforce);
-    BoundedEvalStats vstats;
-    vstats.capture_ops = true;
-    Result<exec::Degraded<AnswerSet>> vref =
-        vm.EvaluateDegraded(**compiled, params, &vstats);
-
-    ASSERT_EQ(iref.ok(), vref.ok())
-        << label << " interp: " << iref.status().ToString()
-        << " vm: " << vref.status().ToString();
-    if (!iref.ok()) {
-      EXPECT_EQ(iref.status().code(), vref.status().code()) << label;
-      EXPECT_EQ(iref.status().message(), vref.status().message()) << label;
-      continue;
+  void Degraded(const std::string& name, const FoQuery& q,
+                const ControllabilityAnalysis& analysis, Database* db,
+                const Binding& params, const exec::GovernorLimits& limits = {},
+                bool enforce = false) {
+    BoundedEvaluator evaluator(db);
+    evaluator.set_limits(limits);
+    evaluator.set_enforce_bounds(enforce);
+    BoundedEvalStats stats;
+    stats.capture_ops = true;
+    Result<exec::Degraded<AnswerSet>> r =
+        evaluator.EvaluateDegraded(q, analysis, params, &stats);
+    for (const exec::OpCounters& op : stats.ops) {
+      rules.insert(op.label.substr(0, op.label.find('(')));
     }
-    EXPECT_EQ(iref->value, vref->value) << label;
-    EXPECT_EQ(iref->complete, vref->complete) << label;
-    EXPECT_EQ(iref->base_tuples_fetched, vref->base_tuples_fetched) << label;
-    EXPECT_EQ(iref->index_lookups, vref->index_lookups) << label;
-    ExpectSameTrip(iref->trip, vref->trip, label.c_str());
-    ExpectSameStats(istats, vstats, label.c_str());
-    EXPECT_EQ(SealedPayload(istats, !iref->complete, iref->trip),
-              SealedPayload(vstats, !vref->complete, vref->trip))
-        << label;
+    AddDegraded(name + " deg", r, stats);
   }
-}
+
+  void Plain(const std::string& name, const FoQuery& q,
+             const ControllabilityAnalysis& analysis, Database* db,
+             const Binding& params, const exec::GovernorLimits& limits = {}) {
+    BoundedEvaluator evaluator(db);
+    evaluator.set_limits(limits);
+    BoundedEvalStats stats;
+    Result<AnswerSet> r = evaluator.Evaluate(q, analysis, params, &stats);
+    lines.push_back(name + " eval " +
+                    (r.ok() ? "ans=" + AnswerText(*r) : ErrorText(r.status())) +
+                    " " + StatsText(stats));
+  }
+
+  void Batch(const std::string& name, const FoQuery& q,
+             const ControllabilityAnalysis& analysis, Database* db,
+             const std::vector<Binding>& batch) {
+    BoundedEvaluator evaluator(db);
+    BoundedEvalStats stats;
+    stats.capture_ops = true;
+    std::vector<Result<AnswerSet>> out =
+        evaluator.EvaluateBatch(q, analysis, batch, &stats);
+    AddBatch(name, out, stats);
+  }
+
+  void Embedded(const std::string& name, const EmbeddedCqAnalysis& analysis,
+                Database* db, const Binding& params) {
+    BoundedEvaluator evaluator(db);
+    BoundedEvalStats stats;
+    stats.capture_ops = true;
+    Result<AnswerSet> r = evaluator.EvaluateEmbedded(analysis, params, &stats);
+    lines.push_back(name + " emb " +
+                    (r.ok() ? "ans=" + AnswerText(*r) : ErrorText(r.status())) +
+                    " " + StatsText(stats) + " cert=" +
+                    CertDigest(stats, false, exec::TripInfo{}));
+  }
+
+  void EmbeddedDegraded(const std::string& name,
+                        const EmbeddedCqAnalysis& analysis, Database* db,
+                        const Binding& params,
+                        const exec::GovernorLimits& limits, bool approx) {
+    BoundedEvaluator evaluator(db);
+    evaluator.set_limits(limits);
+    BoundedEvalStats stats;
+    stats.capture_ops = true;
+    Result<exec::Degraded<AnswerSet>> r =
+        evaluator.EvaluateEmbeddedDegraded(analysis, params, &stats, approx);
+    AddDegraded(name + " embdeg", r, stats);
+  }
+
+  void EmbeddedBatch(const std::string& name,
+                     const EmbeddedCqAnalysis& analysis, Database* db,
+                     const std::vector<Binding>& batch) {
+    BoundedEvaluator evaluator(db);
+    BoundedEvalStats stats;
+    stats.capture_ops = true;
+    std::vector<Result<AnswerSet>> out =
+        evaluator.EvaluateEmbeddedBatch(analysis, batch, &stats);
+    AddBatch(name, out, stats);
+  }
+
+ private:
+  void AddDegraded(const std::string& name,
+                   const Result<exec::Degraded<AnswerSet>>& r,
+                   const BoundedEvalStats& stats) {
+    if (!r.ok()) {
+      lines.push_back(name + " " + ErrorText(r.status()) + " " +
+                      StatsText(stats));
+      return;
+    }
+    lines.push_back(name + " ans=" + AnswerText(r->value) +
+                    " c=" + (r->complete ? "1" : "0") + " " + StatsText(stats) +
+                    " trip_ops=" + std::to_string(r->ops.size()) +
+                    (r->fallback.empty() ? "" : " fallback=" + r->fallback) +
+                    " trip=" +
+                    (r->complete ? "-" : "\"" + r->trip.ToString() + "\"") +
+                    " cert=" + CertDigest(stats, !r->complete, r->trip));
+  }
+
+  void AddBatch(const std::string& name,
+                const std::vector<Result<AnswerSet>>& out,
+                const BoundedEvalStats& stats) {
+    std::string line = name + " batch";
+    for (const Result<AnswerSet>& r : out) {
+      line += " " + (r.ok() ? AnswerText(*r) : ErrorText(r.status()));
+    }
+    lines.push_back(line + " " + StatsText(stats) + " ops=" +
+                    std::to_string(stats.ops.size()) + " cert=" +
+                    CertDigest(stats, false, exec::TripInfo{}));
+  }
+};
 
 struct Social {
   SocialConfig config;
@@ -183,44 +245,45 @@ struct Social {
   }
 };
 
-TEST(CompiledVmTest, Q1DifferentialAcrossParams) {
+void Q1Cases(Corpus* c) {
   Social social(120);
   FoQuery q1 = FQ(
       "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
       social.schema);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q1, social.schema, social.access);
+  ControllabilityAnalysis analysis = Analyze(q1, social.schema, social.access);
   for (int64_t p = 0; p < 12; ++p) {
-    ExpectPlainDifferentialEqual(q1, analysis, &social.db,
-                                 {{V("p"), Value::Int(p)}}, {},
-                                 /*enforce=*/false);
+    const Binding params{{V("p"), Value::Int(p)}};
+    c->Degraded("q1 p=" + std::to_string(p), q1, analysis, &social.db, params);
+    c->Plain("q1 p=" + std::to_string(p), q1, analysis, &social.db, params);
   }
-}
-
-TEST(CompiledVmTest, FetchBudgetTripsAreByteIdentical) {
-  Social social(120);
-  FoQuery q1 = FQ(
-      "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
-      social.schema);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q1, social.schema, social.access);
-  Binding params{{V("p"), Value::Int(5)}};
-  // Budgets from "trips immediately" to "just enough": every stopping point
-  // must agree (same trip record, same partial answers, same certificate).
+  // Budgets from "trips immediately" to "just enough": every stopping point.
   for (uint64_t budget = 1; budget <= 12; ++budget) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;
-    ExpectPlainDifferentialEqual(q1, analysis, &social.db, params, limits,
-                                 /*enforce=*/false);
+    const Binding params{{V("p"), Value::Int(5)}};
+    const std::string name = "q1 budget=" + std::to_string(budget);
+    c->Degraded(name, q1, analysis, &social.db, params, limits);
+    c->Plain(name, q1, analysis, &social.db, params, limits);
   }
+  for (uint64_t cap : {uint64_t{1}, uint64_t{2}, uint64_t{100}}) {
+    exec::GovernorLimits limits;
+    limits.output_row_cap = cap;
+    c->Degraded("q1 rows=" + std::to_string(cap), q1, analysis, &social.db,
+                {{V("p"), Value::Int(3)}}, limits);
+  }
+  c->Degraded("q1 uncontrolled", q1, analysis, &social.db,
+              {{V("name"), Value::Str("n3")}});
+
+  std::vector<Binding> batch;
+  for (int64_t p = 0; p < 20; ++p) batch.push_back({{V("p"), Value::Int(p)}});
+  batch.push_back({{V("name"), Value::Str("n3")}});  // one uncontrolled slot
+  c->Batch("q1", q1, analysis, &social.db, batch);
 }
 
 // A deadline already past, or a token already cancelled, when evaluation
-// starts: the governor observes it at its first amortized time check (probe
-// kCheckInterval), so the trip position is deterministic and both engines
-// must agree on it byte for byte. Person 0 has 400 friends, so the walk is
-// far past that probe when the limit fires.
-TEST(CompiledVmTest, PreExpiredDeadlineAndCancelTripsAreByteIdentical) {
+// starts: the governor observes it at its first amortized time check, so the
+// trip position is deterministic. Person 0 has 400 friends.
+void PreExpiredCases(Corpus* c) {
   Schema s;
   s.Relation("friend", {"a", "b"});
   s.Relation("person", {"id", "name", "city"});
@@ -234,52 +297,23 @@ TEST(CompiledVmTest, PreExpiredDeadlineAndCancelTripsAreByteIdentical) {
   AccessSchema access;
   access.Add("friend", {"a"}, 512);
   access.AddKey("person", {"id"});
-  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  SI_CHECK(access.BuildIndexes(&db, s).ok());
   FoQuery q =
       FQ("Q(p, b, name) := friend(p, b) and person(b, name, \"NYC\")", s);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q, s, access);
+  ControllabilityAnalysis analysis = Analyze(q, s, access);
   const Binding params{{V("p"), Value::Int(0)}};
-
   exec::GovernorLimits deadline;
   deadline.deadline_ns = 1;  // absolute, long past
   exec::GovernorLimits cancelled;
   cancelled.has_cancel = true;
   cancelled.cancel.Cancel();
-  const std::pair<exec::GovernorLimits, exec::LimitKind> cases[] = {
-      {deadline, exec::LimitKind::kDeadline},
-      {cancelled, exec::LimitKind::kCancelled},
-  };
-  for (const auto& [limits, kind] : cases) {
-    BoundedEvaluator interp(&db);
-    interp.set_limits(limits);
-    Result<exec::Degraded<AnswerSet>> r =
-        interp.EvaluateDegraded(q, *analysis, params);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_FALSE(r->complete);
-    EXPECT_EQ(r->trip.kind, kind);
-    ExpectPlainDifferentialEqual(q, analysis, &db, params, limits,
-                                 /*enforce=*/false);
-  }
+  c->Degraded("preexpired deadline", q, analysis, &db, params, deadline);
+  c->Plain("preexpired deadline", q, analysis, &db, params, deadline);
+  c->Degraded("preexpired cancel", q, analysis, &db, params, cancelled);
+  c->Plain("preexpired cancel", q, analysis, &db, params, cancelled);
 }
 
-TEST(CompiledVmTest, OutputRowCapTripsAreByteIdentical) {
-  Social social(120);
-  FoQuery q1 = FQ(
-      "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
-      social.schema);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q1, social.schema, social.access);
-  for (uint64_t cap : {uint64_t{1}, uint64_t{2}, uint64_t{100}}) {
-    exec::GovernorLimits limits;
-    limits.output_row_cap = cap;
-    ExpectPlainDifferentialEqual(q1, analysis, &social.db,
-                                 {{V("p"), Value::Int(3)}}, limits,
-                                 /*enforce=*/false);
-  }
-}
-
-TEST(CompiledVmTest, EnforceBoundsErrorsAreByteIdentical) {
+void EnforceCases(Corpus* c) {
   Schema s;
   s.Relation("e", {"a", "b"});
   Database db(s);
@@ -289,22 +323,23 @@ TEST(CompiledVmTest, EnforceBoundsErrorsAreByteIdentical) {
   AccessSchema access;
   access.Add("e", {"a"}, 2);  // declared N = 2, actual 5
   FoQuery q = FQ("Q(x, y) := e(x, y)", s);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q, s, access);
-  ExpectPlainDifferentialEqual(q, analysis, &db, {{V("x"), Value::Int(1)}},
-                               {}, /*enforce=*/true);
+  ControllabilityAnalysis analysis = Analyze(q, s, access);
+  c->Degraded("enforce", q, analysis, &db, {{V("x"), Value::Int(1)}}, {},
+              /*enforce=*/true);
+  c->Degraded("lenient", q, analysis, &db, {{V("x"), Value::Int(1)}});
 }
 
-TEST(CompiledVmTest, PropertyShapesDifferential) {
-  // Same shape corpus as the interpreter's property test: conjunctions,
-  // safe negation, conditions, bare atoms — everything the compiler accepts
-  // must agree with the interpreter on every observable.
+void PropertyShapeCases(Corpus* c) {
   const char* queries[] = {
       "Q(x, y) := r(x, y)",
       "Q(x, z) := exists y. r(x, y) and t(y, z)",
       "Q(x, y) := r(x, y) and not t(x, y)",
       "Q(x) := exists y. r(x, y) and t(x, y)",
       "Q(x, y) := r(x, y) and (y = 2 or y = 3)",
+      "Q(x) := forall y. r(x, y) implies t(x, y)",
+      "Q(x, y) := r(x, y) or t(x, y)",
+      "Q(x) := exists y. r(x, y) and not (exists z. t(y, z) and r(z, x))",
+      "Q(x, y) := r(x, y) and (forall z. t(y, z) implies r(x, z))",
   };
   for (uint64_t seed : {101u, 202u, 303u, 404u}) {
     Rng rng(seed);
@@ -327,26 +362,27 @@ TEST(CompiledVmTest, PropertyShapesDifferential) {
     access.Add("r", {"a"}, 3);
     access.Add("t", {"a"}, 3);
     access.Add("t", {"a", "b"}, 1);
-    ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
-    for (const char* text : queries) {
-      FoQuery q = FQ(text, s);
-      std::shared_ptr<const ControllabilityAnalysis> analysis =
-          Analyze(q, s, access);
-      if (!analysis->IsControlledBy({V("x")})) continue;
-      SCOPED_TRACE(text);
+    access.Add("r", {"a", "b"}, 1);
+    SI_CHECK(access.BuildIndexes(&db, s).ok());
+    for (size_t qi = 0; qi < std::size(queries); ++qi) {
+      FoQuery q = FQ(queries[qi], s);
+      ControllabilityAnalysis analysis = Analyze(q, s, access);
+      if (!analysis.IsControlledBy({V("x")})) continue;
+      const std::string base =
+          "shape s=" + std::to_string(seed) + " q=" + std::to_string(qi);
       for (int64_t p = 0; p < 6; ++p) {
-        ExpectPlainDifferentialEqual(q, analysis, &db,
-                                     {{V("x"), Value::Int(p)}}, {},
-                                     /*enforce=*/false);
+        const Binding params{{V("x"), Value::Int(p)}};
+        const std::string name = base + " p=" + std::to_string(p);
+        c->Degraded(name, q, analysis, &db, params);
+        exec::GovernorLimits limits;
+        limits.fetch_budget = 2 + static_cast<uint64_t>(p);
+        c->Degraded(name + " budget", q, analysis, &db, params, limits);
       }
     }
   }
 }
 
-TEST(CompiledVmTest, WideFrontierDifferential) {
-  // 40 partial bindings after the first expand, each probing the second
-  // leaf; accounting must be byte-identical, clean and under budgets that
-  // trip part-way through the expansion.
+void WideFrontierCases(Corpus* c) {
   Schema s;
   s.Relation("r", {"a", "b"});
   s.Relation("t", {"a", "b"});
@@ -358,57 +394,144 @@ TEST(CompiledVmTest, WideFrontierDifferential) {
   AccessSchema access;
   access.Add("r", {"a"}, 64);
   access.Add("t", {"a"}, 64);
-  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  SI_CHECK(access.BuildIndexes(&db, s).ok());
   FoQuery q = FQ("Q(x, z) := exists y. r(x, y) and t(y, z)", s);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q, s, access);
-  ExpectPlainDifferentialEqual(q, analysis, &db, {{V("x"), Value::Int(1)}},
-                               {}, /*enforce=*/false);
-  // And under budgets that trip mid-expansion.
+  ControllabilityAnalysis analysis = Analyze(q, s, access);
+  const Binding params{{V("x"), Value::Int(1)}};
+  c->Degraded("wide", q, analysis, &db, params);
   for (uint64_t budget : {uint64_t{5}, uint64_t{20}, uint64_t{45}}) {
     exec::GovernorLimits limits;
     limits.fetch_budget = budget;
-    ExpectPlainDifferentialEqual(q, analysis, &db, {{V("x"), Value::Int(1)}},
-                                 limits, /*enforce=*/false);
+    c->Degraded("wide budget=" + std::to_string(budget), q, analysis, &db,
+                params, limits);
   }
 }
 
-TEST(CompiledVmTest, BatchEvaluationDifferential) {
-  Social social(80);
-  FoQuery q1 = FQ(
-      "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
-      social.schema);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q1, social.schema, social.access);
-  std::vector<Binding> batch;
-  for (int64_t p = 0; p < 20; ++p) batch.push_back({{V("p"), Value::Int(p)}});
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompilePlain(q1, analysis, {V("p")});
-  ASSERT_TRUE(compiled.ok());
-  PoolGuard guard;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    BoundedEvaluator interp(&social.db);
-    BoundedEvalStats istats;
-    std::vector<Result<AnswerSet>> iout =
-        interp.EvaluateBatch(q1, *analysis, batch, &istats);
-    exec::CompiledEvaluator vm(&social.db);
-    BoundedEvalStats vstats;
-    std::vector<Result<AnswerSet>> vout =
-        vm.EvaluateBatch(**compiled, batch, &vstats);
-    ASSERT_EQ(iout.size(), vout.size());
-    for (size_t i = 0; i < iout.size(); ++i) {
-      ASSERT_EQ(iout[i].ok(), vout[i].ok()) << i;
-      if (iout[i].ok()) {
-        EXPECT_EQ(*iout[i], *vout[i]) << i;
+/// The forall / or / safe-negation examples of bounded_eval_test.
+void RuleCases(Corpus* c) {
+  {
+    Schema s;
+    s.Relation("R", {"A", "B"});
+    s.Relation("S", {"A", "B", "C"});
+    s.Relation("T", {"A", "B", "C"});
+    Database db(s);
+    db.Insert("R", Tuple{Value::Int(1), Value::Int(10)});
+    db.Insert("R", Tuple{Value::Int(1), Value::Int(11)});
+    db.Insert("S", Tuple{Value::Int(1), Value::Int(10), Value::Int(7)});
+    db.Insert("T", Tuple{Value::Int(1), Value::Int(10), Value::Int(7)});
+    db.Insert("S", Tuple{Value::Int(1), Value::Int(11), Value::Int(8)});
+    AccessSchema access;
+    access.Add("R", {"A"}, 10);
+    access.Add("S", {"A", "B"}, 10);
+    access.Add("T", {"A", "B", "C"}, 1);
+    SI_CHECK(access.BuildIndexes(&db, s).ok());
+    FoQuery q = FQ(
+        "Q(x, y) := R(x, y) and (forall z. S(x, y, z) implies T(x, y, z))", s);
+    ControllabilityAnalysis analysis = Analyze(q, s, access);
+    c->Degraded("forall", q, analysis, &db, {{V("x"), Value::Int(1)}});
+    for (uint64_t budget = 1; budget <= 5; ++budget) {
+      exec::GovernorLimits limits;
+      limits.fetch_budget = budget;
+      c->Degraded("forall budget=" + std::to_string(budget), q, analysis, &db,
+                  {{V("x"), Value::Int(1)}}, limits);
+    }
+  }
+  {
+    Schema s;
+    s.Relation("r", {"a", "b"});
+    s.Relation("t", {"a", "b"});
+    s.Relation("blocked", {"a", "b"});
+    Database db(s);
+    db.Insert("r", Tuple{Value::Int(1), Value::Int(10)});
+    db.Insert("r", Tuple{Value::Int(1), Value::Int(11)});
+    db.Insert("t", Tuple{Value::Int(1), Value::Int(20)});
+    db.Insert("t", Tuple{Value::Int(1), Value::Int(10)});
+    db.Insert("blocked", Tuple{Value::Int(1), Value::Int(10)});
+    AccessSchema access;
+    access.Add("r", {"a"}, 5);
+    access.Add("t", {"a"}, 5);
+    access.Add("blocked", {"a", "b"}, 1);
+    SI_CHECK(access.BuildIndexes(&db, s).ok());
+    FoQuery ors = FQ("Q(x, y) := r(x, y) or t(x, y)", s);
+    ControllabilityAnalysis ora = Analyze(ors, s, access);
+    FoQuery neg = FQ("Q(x, y) := r(x, y) and not blocked(x, y)", s);
+    ControllabilityAnalysis nega = Analyze(neg, s, access);
+    for (uint64_t budget = 0; budget <= 4; ++budget) {
+      exec::GovernorLimits limits;
+      limits.fetch_budget = budget;
+      const std::string b = " budget=" + std::to_string(budget);
+      c->Degraded("or" + b, ors, ora, &db, {{V("x"), Value::Int(1)}}, limits);
+      c->Degraded("neg" + b, neg, nega, &db, {{V("x"), Value::Int(1)}},
+                  limits);
+    }
+  }
+}
+
+/// Derives an access schema whose statements are true of `db` by
+/// construction (controllability_fuzz_test's generator).
+AccessSchema EmpiricalAccessSchema(Database* db, const Schema& schema,
+                                   Rng* rng) {
+  AccessSchema access;
+  for (const RelationSchema& rs : schema.relations()) {
+    Relation& rel = db->relation(rs.name());
+    std::vector<std::vector<size_t>> subsets;
+    for (size_t p = 0; p < rs.arity(); ++p) subsets.push_back({p});
+    std::vector<size_t> all(rs.arity());
+    for (size_t p = 0; p < rs.arity(); ++p) all[p] = p;
+    subsets.push_back(all);
+    for (const std::vector<size_t>& positions : subsets) {
+      if (rng->Bernoulli(0.25)) continue;
+      const HashIndex& idx = rel.EnsureIndex(positions);
+      uint64_t n = std::max<uint64_t>(1, idx.MaxBucketSize());
+      std::vector<std::string> attrs;
+      for (size_t p : positions) attrs.push_back(rs.attributes()[p]);
+      access.Add(rs.name(), attrs, n);
+    }
+  }
+  return access;
+}
+
+/// Every minimal-control-set derivation of the controllability fuzz
+/// generator for a run of seeds: or, forall, nested exists and nested and
+/// included, clean and under limits that trip inside them.
+void FuzzCases(Corpus* c) {
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    Rng rng(seed);
+    FormulaGenConfig config;
+    config.num_relations = 3;
+    config.max_arity = 3;
+    config.num_variables = 3;
+    config.domain_size = 3;
+    for (int round = 0; round < 12; ++round) {
+      Schema schema = RandomSchema(config, &rng);
+      Database db = RandomDatabase(schema, config, 10, &rng);
+      AccessSchema access = EmpiricalAccessSchema(&db, schema, &rng);
+      FoQuery q = RandomFoQuery(schema, config, 1 + rng.Uniform(5), &rng);
+      Result<ControllabilityAnalysis> analysis =
+          ControllabilityAnalysis::Analyze(q.body, schema, access);
+      if (!analysis.ok()) continue;
+      std::vector<Value> adom = db.ActiveDomain();
+      if (adom.empty()) continue;
+      int d = 0;
+      for (const VarSet& controls : analysis->MinimalControlSets()) {
+        Binding params;
+        for (const Variable& v : controls) {
+          params.emplace(v, adom[rng.Uniform(adom.size())]);
+        }
+        const std::string name = "fuzz s=" + std::to_string(seed) +
+                                 " r=" + std::to_string(round) +
+                                 " d=" + std::to_string(d++);
+        c->Degraded(name, q, *analysis, &db, params);
+        exec::GovernorLimits budget;
+        budget.fetch_budget = 2;
+        c->Degraded(name + " budget", q, *analysis, &db, params, budget);
+        exec::GovernorLimits plain_budget;
+        plain_budget.fetch_budget = 4;
+        c->Plain(name, q, *analysis, &db, params, plain_budget);
       }
     }
-    ExpectSameStats(istats, vstats, "batch");
   }
 }
-
-// ---------------------------------------------------------------------------
-// Embedded (Proposition 4.5 chase) differential.
 
 Cq Q3(const Schema& s) {
   Result<Cq> q = ParseCq(
@@ -419,197 +542,184 @@ Cq Q3(const Schema& s) {
   return *std::move(q);
 }
 
-struct DatedSocial {
+void EmbeddedCases(Corpus* c) {
   SocialConfig config;
+  config.num_persons = 80;
+  config.max_friends_per_person = 8;
+  config.num_restaurants = 12;
+  config.avg_visits_per_person = 14;
+  config.num_cities = 2;
+  config.num_years = 1;
+  config.dated_visits = true;
+  config.seed = 17;
   Schema schema = SocialSchema(true);
-  Database db{Schema{}};
-  AccessSchema access;
-
-  DatedSocial() {
-    config.num_persons = 80;
-    config.max_friends_per_person = 8;
-    config.num_restaurants = 12;
-    config.avg_visits_per_person = 14;
-    config.num_cities = 2;
-    config.num_years = 1;
-    config.dated_visits = true;
-    config.seed = 17;
-    db = GenerateSocial(config);
-    access = SocialAccessSchema(config);
-    SI_CHECK(access.BuildIndexes(&db, schema).ok());
+  Database db = GenerateSocial(config);
+  AccessSchema access = SocialAccessSchema(config);
+  SI_CHECK(access.BuildIndexes(&db, schema).ok());
+  Result<EmbeddedCqAnalysis> analysis = EmbeddedCqAnalysis::Analyze(
+      Q3(schema), schema, access, {V("p"), V("yy")});
+  SI_CHECK(analysis.ok() && analysis->IsScaleIndependent());
+  auto params = [&](int64_t p) {
+    return Binding{
+        {V("p"), Value::Int(p)},
+        {V("yy"), Value::Int(static_cast<int64_t>(config.first_year))}};
+  };
+  std::vector<Binding> batch;
+  for (int64_t p = 0; p < 20; ++p) {
+    c->Embedded("q3 p=" + std::to_string(p), *analysis, &db, params(p));
+    batch.push_back(params(p));
   }
-
-  std::shared_ptr<const EmbeddedCqAnalysis> Analysis() {
-    Result<EmbeddedCqAnalysis> a = EmbeddedCqAnalysis::Analyze(
-        Q3(schema), schema, access, {V("p"), V("yy")});
-    SI_CHECK_MSG(a.ok(), a.status().message().c_str());
-    SI_CHECK(a->IsScaleIndependent());
-    return std::make_shared<const EmbeddedCqAnalysis>(*std::move(a));
+  c->EmbeddedBatch("q3", *analysis, &db, batch);
+  for (uint64_t budget : {uint64_t{1}, uint64_t{3}, uint64_t{10}}) {
+    exec::GovernorLimits limits;
+    limits.fetch_budget = budget;
+    const std::string name = "q3 budget=" + std::to_string(budget);
+    c->EmbeddedDegraded(name, *analysis, &db, params(3), limits, false);
+    c->EmbeddedDegraded(name + " approx", *analysis, &db, params(3), limits,
+                        true);
   }
-
-  Binding Params(int64_t p) {
-    return {{V("p"), Value::Int(p)},
-            {V("yy"),
-             Value::Int(static_cast<int64_t>(config.first_year))}};
+  for (uint64_t cap : {uint64_t{1}, uint64_t{2}}) {
+    exec::GovernorLimits limits;
+    limits.output_row_cap = cap;
+    c->EmbeddedDegraded("q3 rows=" + std::to_string(cap), *analysis, &db,
+                        params(3), limits, false);
   }
-};
+  c->Embedded("q3 missing-param", *analysis, &db, {{V("p"), Value::Int(1)}});
 
-TEST(CompiledVmTest, EmbeddedDifferentialAcrossParams) {
-  DatedSocial social;
-  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompileEmbedded(analysis);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  PoolGuard guard;
-  int nonempty = 0;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    for (int64_t p = 0; p < 20; ++p) {
-      BoundedEvaluator interp(&social.db);
-      BoundedEvalStats istats;
-      istats.capture_ops = true;
-      Result<AnswerSet> iref =
-          interp.EvaluateEmbedded(*analysis, social.Params(p), &istats);
-      exec::CompiledEvaluator vm(&social.db);
-      BoundedEvalStats vstats;
-      vstats.capture_ops = true;
-      Result<AnswerSet> vref =
-          vm.EvaluateEmbedded(**compiled, social.Params(p), &vstats);
-      ASSERT_EQ(iref.ok(), vref.ok()) << "p=" << p;
-      ASSERT_TRUE(iref.ok()) << iref.status().ToString();
-      EXPECT_EQ(*iref, *vref) << "p=" << p;
-      if (!iref->empty()) ++nonempty;
-      ExpectSameStats(istats, vstats, "embedded");
-    }
-  }
-  EXPECT_GT(nonempty, 0);
-}
-
-TEST(CompiledVmTest, EmbeddedDegradedTripsAreByteIdentical) {
-  DatedSocial social;
-  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompileEmbedded(analysis);
-  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
-  PoolGuard guard;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    for (uint64_t budget : {uint64_t{1}, uint64_t{3}, uint64_t{10}}) {
-      exec::GovernorLimits limits;
-      limits.fetch_budget = budget;
-      BoundedEvaluator interp(&social.db);
-      interp.set_limits(limits);
-      BoundedEvalStats istats;
-      istats.capture_ops = true;
-      Result<exec::Degraded<AnswerSet>> iref = interp.EvaluateEmbeddedDegraded(
-          *analysis, social.Params(3), &istats);
-      exec::CompiledEvaluator vm(&social.db);
-      vm.set_limits(limits);
-      BoundedEvalStats vstats;
-      vstats.capture_ops = true;
-      Result<exec::Degraded<AnswerSet>> vref =
-          vm.EvaluateEmbeddedDegraded(**compiled, social.Params(3), &vstats);
-      ASSERT_EQ(iref.ok(), vref.ok()) << "budget=" << budget;
-      if (!iref.ok()) {
-        EXPECT_EQ(iref.status().code(), vref.status().code());
-        EXPECT_EQ(iref.status().message(), vref.status().message());
-        continue;
-      }
-      EXPECT_EQ(iref->value, vref->value) << "budget=" << budget;
-      EXPECT_EQ(iref->complete, vref->complete) << "budget=" << budget;
-      ExpectSameTrip(iref->trip, vref->trip, "embedded degraded");
-      ExpectSameStats(istats, vstats, "embedded degraded");
-      EXPECT_EQ(SealedPayload(istats, !iref->complete, iref->trip),
-                SealedPayload(vstats, !vref->complete, vref->trip));
-    }
-  }
-}
-
-TEST(CompiledVmTest, FailpointInjectedChaseErrorsAreByteIdentical) {
-  DatedSocial social;
-  std::shared_ptr<const EmbeddedCqAnalysis> analysis = social.Analysis();
-  Result<std::shared_ptr<const exec::CompiledProgram>> compiled =
-      exec::CompileEmbedded(analysis);
-  ASSERT_TRUE(compiled.ok());
-  struct FailpointGuard {
-    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
-  } fp_guard;
   util::Failpoints& fp = util::Failpoints::Global();
-  PoolGuard guard;
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    // The every-2 stream is global; reset it per engine so both see the
-    // same fire schedule.
-    ASSERT_TRUE(fp.Configure("chase_step=error(every:2)").ok());
-    BoundedEvaluator interp(&social.db);
-    Result<AnswerSet> iref =
-        interp.EvaluateEmbedded(*analysis, social.Params(3));
-    ASSERT_TRUE(fp.Configure("chase_step=error(every:2)").ok());
-    exec::CompiledEvaluator vm(&social.db);
-    Result<AnswerSet> vref = vm.EvaluateEmbedded(**compiled, social.Params(3));
-    ASSERT_EQ(iref.ok(), vref.ok());
-    if (!iref.ok()) {
-      EXPECT_EQ(iref.status().code(), vref.status().code());
-      EXPECT_EQ(iref.status().message(), vref.status().message());
+  SI_CHECK(fp.Configure("chase_step=error(every:2)").ok());
+  c->Embedded("q3 failpoint first", *analysis, &db, params(3));
+  c->Embedded("q3 failpoint second", *analysis, &db, params(3));
+  SI_CHECK(fp.Configure("chase_step=error(every:2)").ok());
+  c->EmbeddedDegraded("q3 failpoint", *analysis, &db, params(3), {}, false);
+  fp.Clear();
+
+  // Candidate verification through a plain statement.
+  Schema s;
+  s.Relation("r", {"k", "a", "b"});
+  Database vdb(s);
+  vdb.Insert("r", Tuple{Value::Int(1), Value::Int(10), Value::Int(100)});
+  vdb.Insert("r", Tuple{Value::Int(1), Value::Int(20), Value::Int(200)});
+  AccessSchema vaccess;
+  vaccess.AddEmbedded("r", {"k"}, {"a"}, 5);
+  vaccess.AddEmbedded("r", {"k"}, {"b"}, 5);
+  vaccess.Add("r", {"k"}, 10);
+  SI_CHECK(vaccess.BuildIndexes(&vdb, s).ok());
+  Result<Cq> vq = ParseCq("Q(a, b) :- r(k, a, b)", &s);
+  SI_CHECK(vq.ok());
+  Result<EmbeddedCqAnalysis> va =
+      EmbeddedCqAnalysis::Analyze(*vq, s, vaccess, {V("k")});
+  SI_CHECK(va.ok() && va->IsScaleIndependent());
+  c->Embedded("verify", *va, &vdb, {{V("k"), Value::Int(1)}});
+}
+
+/// A 65-attribute relation: the chased candidate tuple is wider than one
+/// machine word.
+void WideAtomCases(Corpus* c) {
+  std::vector<std::string> attrs;
+  for (int i = 0; i < 65; ++i) attrs.push_back("a" + std::to_string(i));
+  Schema s;
+  s.Relation("w", attrs);
+  Database db(s);
+  for (int64_t k = 0; k < 3; ++k) {
+    for (int64_t j = 0; j < 2; ++j) {
+      Tuple t;
+      for (int64_t i = 0; i < 65; ++i) t.push_back(Value::Int(k * 100 + i + j));
+      t[0] = Value::Int(k);
+      db.Insert("w", std::move(t));
     }
   }
-  fp.Clear();
+  AccessSchema access;
+  access.Add("w", {"a0"}, 4);
+  SI_CHECK(access.BuildIndexes(&db, s).ok());
+  std::string body = "w(k";
+  for (int i = 1; i < 65; ++i) body += ", v" + std::to_string(i);
+  Result<Cq> q = ParseCq("Q(v1, v64) :- " + body + ")", &s);
+  SI_CHECK_MSG(q.ok(), q.status().message().c_str());
+  Result<EmbeddedCqAnalysis> analysis =
+      EmbeddedCqAnalysis::Analyze(*q, s, access, {V("k")});
+  SI_CHECK(analysis.ok() && analysis->IsScaleIndependent());
+  for (int64_t k = 0; k < 4; ++k) {
+    c->Embedded("wide-atom k=" + std::to_string(k), *analysis, &db,
+                {{V("k"), Value::Int(k)}});
+  }
+}
+
+std::vector<std::string> ReadLines(const std::string& path) {
+  std::ifstream in(path);
+  std::vector<std::string> out;
+  std::string line;
+  while (std::getline(in, line)) out.push_back(line);
+  return out;
+}
+
+TEST(CompiledVmTest, GoldenCertificatesAtOneAndFourThreads) {
+  const std::vector<std::string> golden =
+      ReadLines(std::string(SCALEIN_GOLDEN_DIR) + "/bounded_certs.txt");
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    par::WorkerPool::Global().Resize(threads);
+    Corpus corpus;
+    Q1Cases(&corpus);
+    PreExpiredCases(&corpus);
+    EnforceCases(&corpus);
+    PropertyShapeCases(&corpus);
+    WideFrontierCases(&corpus);
+    RuleCases(&corpus);
+    FuzzCases(&corpus);
+    EmbeddedCases(&corpus);
+    WideAtomCases(&corpus);
+    for (const char* rule :
+         {"atom", "condition", "and", "or", "exists", "forall"}) {
+      EXPECT_TRUE(corpus.rules.count(rule)) << "corpus never ran " << rule;
+    }
+    if (corpus.lines != golden) {
+      std::ofstream out("bounded_certs.actual.txt");
+      for (const std::string& line : corpus.lines) out << line << "\n";
+      size_t i = 0;
+      while (i < golden.size() && i < corpus.lines.size() &&
+             golden[i] == corpus.lines[i]) {
+        ++i;
+      }
+      ADD_FAILURE() << "threads=" << threads << ": corpus differs at line "
+                    << i + 1 << " (golden " << golden.size()
+                    << " lines, produced " << corpus.lines.size() << ")\n"
+                    << "golden:   "
+                    << (i < golden.size() ? golden[i] : "<end>") << "\n"
+                    << "produced: "
+                    << (i < corpus.lines.size() ? corpus.lines[i] : "<end>");
+    }
+  }
+  par::WorkerPool::Global().Resize(1);
 }
 
 // ---------------------------------------------------------------------------
-// Plan-set lifecycle: modes, failure caching, DDL invalidation.
+// Plan-set lifecycle: compile on first sighting, DDL invalidation, shell.
 
-TEST(CompiledVmTest, PlanSetModesAndFailureCaching) {
+TEST(CompiledVmTest, PlanSetCompilesOnFirstSightingAndCachesPrograms) {
   Social social(40);
   FoQuery q1 = FQ(
       "Q1(p, name) := exists id. friend(p, id) and person(id, name, \"NYC\")",
       social.schema);
-  std::shared_ptr<const ControllabilityAnalysis> analysis =
-      Analyze(q1, social.schema, social.access);
+  auto analysis = std::make_shared<const ControllabilityAnalysis>(
+      Analyze(q1, social.schema, social.access));
   exec::CompiledPlanSet set;
-  std::string why;
-  bool failed = false;
-
-  // kOff never compiles.
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kOff, q1,
-                                  analysis, {V("p")}, &why, &failed),
-            nullptr);
-  EXPECT_FALSE(failed);
-  EXPECT_EQ(set.compiles(), 0u);
-
-  // kAuto defers the first sighting, compiles on the second.
+  std::string why = "stale";
+  std::shared_ptr<const exec::CompiledProgram> first = set.GetOrCompilePlain(
+      exec::CompiledPlanSet::Mode::kAuto, q1, analysis, {V("p")}, &why);
+  ASSERT_NE(first, nullptr);
+  EXPECT_TRUE(why.empty());
+  EXPECT_EQ(set.compiles(), 1u);
   EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q1,
-                                  analysis, {V("p")}, &why, &failed),
-            nullptr);
-  EXPECT_FALSE(failed);
-  EXPECT_NE(why.find("deferred"), std::string::npos);
-  EXPECT_NE(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q1,
-                                  analysis, {V("p")}, &why, &failed),
-            nullptr);
+                                  analysis, {V("p")}, &why),
+            first);
   EXPECT_EQ(set.compiles(), 1u);
 
-  // Cached: a third call returns the same program without recompiling.
-  std::shared_ptr<const exec::CompiledProgram> again = set.GetOrCompilePlain(
-      exec::CompiledPlanSet::Mode::kOn, q1, analysis, {V("p")}, &why, &failed);
-  ASSERT_NE(again, nullptr);
-  EXPECT_EQ(set.compiles(), 1u);
-
-  // A parameter set the analysis does not control is a cached failure: one
-  // rejection, then served from the failure slot, flagged for the
-  // fallback counter both times.
-  FoQuery q_uncontrolled = q1;
-  failed = false;
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kOn,
-                                  q_uncontrolled, analysis, {V("name")}, &why,
-                                  &failed),
+  // A parameter set the analysis does not control has no program; the
+  // reason is the evaluator's "not controlled" error.
+  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q1,
+                                  analysis, {V("name")}, &why),
             nullptr);
-  EXPECT_TRUE(failed);
-  failed = false;
-  EXPECT_EQ(set.GetOrCompilePlain(exec::CompiledPlanSet::Mode::kOn,
-                                  q_uncontrolled, analysis, {V("name")}, &why,
-                                  &failed),
-            nullptr);
-  EXPECT_TRUE(failed);
+  EXPECT_NE(why.find("not controlled"), std::string::npos) << why;
   EXPECT_EQ(set.compiles(), 1u);
 }
 
@@ -625,11 +735,9 @@ TEST(CompiledVmTest, AnalysisCacheDropsCompiledPlansOnInvalidation) {
                          &set1);
   ASSERT_TRUE(a1.ok());
   ASSERT_NE(set1, nullptr);
-  std::string why;
   std::shared_ptr<const exec::CompiledProgram> p1 = set1->GetOrCompilePlain(
-      exec::CompiledPlanSet::Mode::kOn, q1, *a1, {V("p")}, &why);
+      exec::CompiledPlanSet::Mode::kAuto, q1, *a1, {V("p")}, nullptr);
   ASSERT_NE(p1, nullptr);
-  EXPECT_EQ(set1->compiles(), 1u);
 
   // A cache hit hands back the same plan set (no recompilation).
   std::shared_ptr<exec::CompiledPlanSet> set_hit;
@@ -639,7 +747,7 @@ TEST(CompiledVmTest, AnalysisCacheDropsCompiledPlansOnInvalidation) {
   EXPECT_EQ(set_hit.get(), set1.get());
 
   // DDL: the entry is dropped, and with it the attached bytecode. The next
-  // analyze returns a *fresh, empty* plan set — the VM can never execute a
+  // analyze returns a fresh, empty plan set — the VM can never execute a
   // program lowered from the dropped derivation.
   cache.Invalidate();
   std::shared_ptr<exec::CompiledPlanSet> set2;
@@ -651,91 +759,59 @@ TEST(CompiledVmTest, AnalysisCacheDropsCompiledPlansOnInvalidation) {
   EXPECT_NE(set2.get(), set1.get());
   EXPECT_EQ(set2->compiles(), 0u);
   std::shared_ptr<const exec::CompiledProgram> p2 = set2->GetOrCompilePlain(
-      exec::CompiledPlanSet::Mode::kOn, q1, *a2, {V("p")}, &why);
+      exec::CompiledPlanSet::Mode::kAuto, q1, *a2, {V("p")}, nullptr);
   ASSERT_NE(p2, nullptr);
   EXPECT_NE(p2.get(), p1.get());  // recompiled against the fresh derivation
-  EXPECT_EQ(set2->compiles(), 1u);
+}
+
+std::string Exec(Shell* shell, const std::string& line) {
+  Result<std::string> out = shell->Execute(line);
+  SI_CHECK_MSG(out.ok(), (line + ": " + out.status().message()).c_str());
+  return *std::move(out);
 }
 
 TEST(CompiledVmTest, ShellRecompilesAfterMidSessionDdl) {
-  // End-to-end DDL regression: `access` DDL between two compiled evals must
-  // invalidate the bytecode with the derivation. The second eval recompiles
-  // against the new bounds and still answers correctly — never executes the
-  // stale program, never errors.
+  // `access` DDL between two evals must invalidate the bytecode with the
+  // derivation: the second eval recompiles against the new bounds and still
+  // answers correctly — never executes the stale program.
   Shell shell;
-  auto run = [&](const std::string& line) {
-    Result<std::string> out = shell.Execute(line);
-    SI_CHECK_MSG(out.ok(), (line + ": " + out.status().message()).c_str());
-    return *std::move(out);
-  };
-  run("schema relation e(a, b)");
-  run("access access e(a) N=10");
-  run("row e 1,10");
-  run("row e 1,11");
-  run("compile on");
-  const std::string first = run("eval x=1 Q(x, y) := e(x, y)");
-  EXPECT_NE(first.find("(2 answers"), std::string::npos) << first;
+  Exec(&shell, "schema relation e(a, b)");
+  Exec(&shell, "access access e(a) N=10");
+  Exec(&shell, "row e 1,10");
+  Exec(&shell, "row e 1,11");
+  EXPECT_NE(Exec(&shell, "eval x=1 Q(x, y) := e(x, y)").find("(2 answers"),
+            std::string::npos);
+  Exec(&shell, "access access e(a) N=5");
+  EXPECT_NE(Exec(&shell, "eval x=1 Q(x, y) := e(x, y)").find("(2 answers"),
+            std::string::npos);
+  EXPECT_EQ(shell.metrics().FindCounter("exec.compiled_hits")->value(), 2u);
 
-  // DDL mid-session: tighten the declared bound. The cached entry (and its
-  // compiled program) must be dropped.
-  run("access access e(a) N=5");
-  const std::string second = run("eval x=1 Q(x, y) := e(x, y)");
-  EXPECT_NE(second.find("(2 answers"), std::string::npos) << second;
-
-  // Both evals ran compiled (mode on): two hits, no fallbacks.
-  const std::string status = run("compile status");
-  EXPECT_NE(status.find("hits=2"), std::string::npos) << status;
-  EXPECT_NE(status.find("fallbacks=0"), std::string::npos) << status;
-
-  // And the EXPLAIN disassembly reflects the *new* static bound, proving
-  // the program was recompiled, not served stale.
-  const std::string explained = run("explain x=1 Q(x, y) := e(x, y)");
+  // The EXPLAIN disassembly carries the *new* static bound.
+  const std::string explained = Exec(&shell, "explain x=1 Q(x, y) := e(x, y)");
   EXPECT_NE(explained.find("compiled:"), std::string::npos) << explained;
   EXPECT_NE(explained.find("static_bound=5"), std::string::npos) << explained;
 }
 
-TEST(CompiledVmTest, ShellCompileOffMatchesInterpreterOutput) {
-  // SCALEIN_COMPILE=off / `compile off` must restore today's behavior: the
-  // rendered output of an eval is identical either way.
-  auto session = [&](const char* mode) {
-    Shell shell;
-    auto run = [&](const std::string& line) {
-      Result<std::string> out = shell.Execute(line);
-      SI_CHECK_MSG(out.ok(), out.status().message().c_str());
-      return *std::move(out);
-    };
-    run("schema relation e(a, b)");
-    run("access access e(a) N=10");
-    run("row e 1,10");
-    run("row e 1,11");
-    run("row e 2,20");
-    run(std::string("compile ") + mode);
-    return run("eval x=1 Q(x, y) := e(x, y)");
-  };
-  EXPECT_EQ(session("on"), session("off"));
-}
-
-TEST(CompiledVmTest, UnsupportedShapeFallsBackInShell) {
-  // "or" derivations are outside the compiled grammar: with compile on the
-  // eval still succeeds (interpreted) and the fallback counter advances.
+TEST(CompiledVmTest, ExplainPrintsDisassemblyOfEveryRule) {
   Shell shell;
-  auto run = [&](const std::string& line) {
-    Result<std::string> out = shell.Execute(line);
-    SI_CHECK_MSG(out.ok(), out.status().message().c_str());
-    return *std::move(out);
-  };
-  run("schema relation r(a, b)");
-  run("schema relation t(a, b)");
-  run("access access r(a) N=5");
-  run("access access t(a) N=5");
-  run("row r 1,10");
-  run("row t 1,20");
-  run("compile on");
-  const std::string out = run("eval x=1 Q(x, y) := r(x, y) or t(x, y)");
-  EXPECT_NE(out.find("(2 answers"), std::string::npos) << out;
-  const std::string status = run("compile status");
-  EXPECT_NE(status.find("hits=0"), std::string::npos) << status;
-  EXPECT_NE(status.find("fallbacks=1"), std::string::npos) << status;
+  Exec(&shell, "schema relation r(a, b)");
+  Exec(&shell, "schema relation t(a, b)");
+  Exec(&shell, "access access r(a) N=5");
+  Exec(&shell, "access access t(a) N=5");
+  Exec(&shell, "row r 1,10");
+  Exec(&shell, "row t 1,20");
+  const std::string ors =
+      Exec(&shell, "explain x=1 Q(x, y) := r(x, y) or t(x, y)");
+  EXPECT_NE(ors.find("compiled:\nplain bytecode:"), std::string::npos) << ors;
+  EXPECT_NE(ors.find("OR op=0:or"), std::string::npos) << ors;
+  EXPECT_NE(ors.find("PROBE r op=1:atom(r)"), std::string::npos) << ors;
+  EXPECT_NE(ors.find("PROBE t op=2:atom(t)"), std::string::npos) << ors;
+  EXPECT_NE(ors.find("(2 answers)"), std::string::npos) << ors;
+
+  const std::string all = Exec(
+      &shell, "explain x=1 Q(x) := forall y. r(x, y) implies t(x, y)");
+  EXPECT_NE(all.find("FORALL op=0:forall"), std::string::npos) << all;
+  EXPECT_NE(all.find("(0 answers)"), std::string::npos) << all;
 }
 
 }  // namespace

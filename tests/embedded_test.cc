@@ -218,5 +218,57 @@ TEST(EmbeddedTest, MissingParameterRejectedAtEvaluation) {
   EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(EmbeddedTest, ChaseOverAtomWiderThanOneMachineWord) {
+  // 65 attributes: the chase's candidate tuples are wider than a 64-bit
+  // word, and two overlapping statements make later steps check columns an
+  // earlier step bound.
+  std::vector<std::string> attrs;
+  for (int i = 0; i < 65; ++i) attrs.push_back("a" + std::to_string(i));
+  Schema s;
+  s.Relation("w", attrs);
+  Database db(s);
+  for (int64_t k = 0; k < 3; ++k) {
+    for (int64_t j = 0; j < 3; ++j) {
+      Tuple t;
+      for (int64_t i = 0; i < 65; ++i) {
+        t.push_back(Value::Int(k * 1000 + (i < 33 ? j % 2 : j) * 100 + i));
+      }
+      t[0] = Value::Int(k);
+      db.Insert("w", std::move(t));
+    }
+  }
+  AccessSchema access;
+  access.AddEmbedded("w", {"a0"},
+                     std::vector<std::string>(attrs.begin() + 1,
+                                              attrs.begin() + 41),
+                     4);
+  access.AddEmbedded("w", {"a0"},
+                     std::vector<std::string>(attrs.begin() + 30, attrs.end()),
+                     4);
+  access.Add("w", {"a0", "a1"}, 3);  // verifier
+  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  std::string text = "Q(v1, v35, v64) :- w(k";
+  for (int i = 1; i < 65; ++i) text += ", v" + std::to_string(i);
+  Result<Cq> q = ParseCq(text + ")", &s);
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  Result<EmbeddedCqAnalysis> analysis =
+      EmbeddedCqAnalysis::Analyze(*q, s, access, {V("k")});
+  ASSERT_TRUE(analysis.ok());
+  ASSERT_TRUE(analysis->IsScaleIndependent());
+  BoundedEvaluator bounded(&db);
+  CqEvaluator reference(&db);
+  for (int64_t k = 0; k < 4; ++k) {
+    const Binding params{{V("k"), Value::Int(k)}};
+    BoundedEvalStats stats;
+    Result<AnswerSet> fast =
+        bounded.EvaluateEmbedded(*analysis, params, &stats);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    EXPECT_EQ(*fast, reference.Evaluate(*q, params)) << "k=" << k;
+    EXPECT_EQ(fast->size(), k < 3 ? 3u : 0u) << "k=" << k;
+    EXPECT_LE(static_cast<double>(stats.base_tuples_fetched),
+              analysis->StaticFetchBound());
+  }
+}
+
 }  // namespace
 }  // namespace scalein
