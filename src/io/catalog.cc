@@ -61,9 +61,9 @@ Status ParseBoundOptions(const std::vector<std::string>& tokens, size_t start,
   for (size_t i = start; i < tokens.size(); ++i) {
     const std::string& tok = tokens[i];
     if (StartsWith(tok, "N=")) {
-      *n = static_cast<uint64_t>(std::stoull(tok.substr(2)));
+      SI_ASSIGN_OR_RETURN(*n, ParseInteger<uint64_t>(tok.substr(2)));
     } else if (StartsWith(tok, "T=")) {
-      *t = std::stod(tok.substr(2));
+      SI_ASSIGN_OR_RETURN(*t, ParseDouble(tok.substr(2)));
     } else {
       return Status::InvalidArgument("unknown option '" + tok + "'");
     }
@@ -189,7 +189,7 @@ Result<AccessSchema> ParseAccessSchemaText(std::string_view text,
   return access;
 }
 
-Value ParseCsvValue(std::string_view field) {
+Result<Value> ParseCsvValue(std::string_view field) {
   field = StripWhitespace(field);
   if (field.size() >= 2 && field.front() == '"' && field.back() == '"') {
     return Value::Str(field.substr(1, field.size() - 2));
@@ -204,7 +204,8 @@ Value ParseCsvValue(std::string_view field) {
       }
     }
     if (numeric) {
-      return Value::Int(std::stoll(std::string(field)));
+      SI_ASSIGN_OR_RETURN(int64_t v, ParseInteger<int64_t>(field));
+      return Value::Int(v);
     }
   }
   return Value::Str(field);
@@ -228,7 +229,15 @@ Status LoadRelationCsv(Database* db, const std::string& relation,
     }
     Tuple t;
     t.reserve(arity);
-    for (const std::string& f : fields) t.push_back(ParseCsvValue(f));
+    for (const std::string& f : fields) {
+      Result<Value> v = ParseCsvValue(f);
+      if (!v.ok()) {
+        return Status::InvalidArgument(StrFormat(
+            "%s line %zu: %s", relation.c_str(), line_number,
+            v.status().message().c_str()));
+      }
+      t.push_back(std::move(v).ValueOrDie());
+    }
     db->Insert(relation, t);
   }
   return Status::OK();

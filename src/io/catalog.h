@@ -29,8 +29,9 @@ namespace scalein {
 ///     fd visit: id, yy, mm, dd -> rid      # (R, X[X∪Y], 1, 1)
 ///
 /// Relation data (CSV): one tuple per line, comma-separated values. A value
-/// consisting solely of an optional '-' and digits is an integer; everything
-/// else is a string (surrounding double quotes are stripped when present).
+/// consisting solely of an optional '-' and digits is an integer, and must
+/// fit in 64 bits; everything else is a string (surrounding double quotes
+/// are stripped when present).
 
 /// Parses schema text.
 Result<Schema> ParseSchemaText(std::string_view text);
@@ -39,8 +40,9 @@ Result<Schema> ParseSchemaText(std::string_view text);
 Result<AccessSchema> ParseAccessSchemaText(std::string_view text,
                                            const Schema& schema);
 
-/// Parses one CSV value using the integer-or-string rule above.
-Value ParseCsvValue(std::string_view field);
+/// Parses one CSV value using the integer-or-string rule above; an integer
+/// outside int64_t is InvalidArgument.
+Result<Value> ParseCsvValue(std::string_view field);
 
 /// Loads CSV rows into `relation` of `db`. Rows with the wrong arity fail.
 Status LoadRelationCsv(Database* db, const std::string& relation,

@@ -27,24 +27,21 @@ Result<Binding> ParseShellBinding(std::string_view text) {
       return Status::InvalidArgument("expected var=value in '" + piece + "'");
     }
     std::string var(StripWhitespace(std::string_view(piece).substr(0, eq)));
-    Value value = ParseCsvValue(std::string_view(piece).substr(eq + 1));
+    SI_ASSIGN_OR_RETURN(Value value,
+                        ParseCsvValue(std::string_view(piece).substr(eq + 1)));
     out.emplace(Variable::Named(var), value);
   }
   return out;
 }
 
-/// Parses a decimal uint64 ("fetch=100" right-hand sides).
-Result<uint64_t> ParseShellU64(std::string_view text) {
-  if (text.empty()) return Status::InvalidArgument("expected a number");
-  uint64_t out = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      return Status::InvalidArgument("expected a number, got '" +
-                                     std::string(text) + "'");
-    }
-    out = out * 10 + static_cast<uint64_t>(c - '0');
+/// A slow-query threshold: a gauge value, so it must fit in int64_t.
+Result<int64_t> ParseThresholdMs(std::string_view text) {
+  SI_ASSIGN_OR_RETURN(int64_t ms, ParseInteger<int64_t>(text));
+  if (ms < 0) {
+    return Status::InvalidArgument("expected a number, got '" +
+                                   std::string(text) + "'");
   }
-  return out;
+  return ms;
 }
 
 /// One line per collected span: name, duration, and its key=value args (arg
@@ -85,7 +82,7 @@ Shell::Shell() {
     uint64_t max_bytes = obs::JournalStore::kDefaultMaxBytes;
     if (const char* mb = std::getenv("SCALEIN_JOURNAL_MAX_BYTES");
         mb != nullptr && mb[0] != '\0') {
-      if (Result<uint64_t> parsed = ParseShellU64(mb);
+      if (Result<uint64_t> parsed = ParseInteger<uint64_t>(mb);
           parsed.ok() && *parsed > 0) {
         max_bytes = *parsed;
       }
@@ -121,10 +118,8 @@ Shell::Shell() {
   }
   if (const char* ms = std::getenv("SCALEIN_SLOW_QUERY_MS");
       ms != nullptr && ms[0] != '\0') {
-    Result<uint64_t> parsed = ParseShellU64(ms);
-    if (parsed.ok()) {
-      metrics_->GetGauge("shell.slow_query_threshold_ms")
-          .Set(static_cast<int64_t>(*parsed));
+    if (Result<int64_t> parsed = ParseThresholdMs(ms); parsed.ok()) {
+      metrics_->GetGauge("shell.slow_query_threshold_ms").Set(*parsed);
     }
   }
 }
@@ -309,81 +304,120 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 }
 
 Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
-  const char* usage = explain ? "usage: explain var=value,... <query>"
-                              : "usage: eval var=value,... <query>";
-  size_t sp = rest.find(' ');
-  if (sp == std::string_view::npos) return Status::InvalidArgument(usage);
-  SI_ASSIGN_OR_RETURN(Binding params, ParseShellBinding(rest.substr(0, sp)));
-  const std::string query_text(StripWhitespace(rest.substr(sp + 1)));
-  SI_ASSIGN_OR_RETURN(FoQuery q, ParseFoQuery(query_text, &schema_));
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
   // One correlation id per evaluation: every span, recorder event, slow-log
   // entry, certificate, journal line, and post-mortem dump produced below
-  // carries it (workers included), so one query's artifacts join on one id.
-  const obs::QueryId qid{obs::SessionFingerprint(), ++query_seq_};
+  // carries it. A query that fails to plan does not consume it.
+  const obs::QueryId qid{obs::SessionFingerprint(), query_seq_ + 1};
   obs::ScopedQueryCorrelation correlate(qid);
-  std::shared_ptr<exec::CompiledPlanSet> compiled_set;
+  SI_ASSIGN_OR_RETURN(ServePlan plan,
+                      PlanForServe(rest, explain ? "explain" : "eval"));
+  query_seq_ = qid.seq;
+  SI_RETURN_IF_ERROR(access_.BuildIndexes(db_.get(), schema_));
   SI_ASSIGN_OR_RETURN(
-      std::shared_ptr<const ControllabilityAnalysis> analysis,
-      analysis_cache_->GetOrAnalyze(q.body, query_text, schema_, access_, {},
-                                    &compiled_set));
+      ServeEvalOutcome out,
+      EvalForServe(plan, limits_, qid, /*client_tag=*/"", explain));
+  if (!explain) return out.AnswerBlock();
+  return out.rendered +
+         StrFormat("(%zu answers%s)\n", out.answers,
+                   out.complete ? "" : ", partial") +
+         out.warnings;
+}
+
+std::string ServeEvalOutcome::AnswerBlock() const {
+  std::string out =
+      rendered + StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n",
+                           answers, static_cast<unsigned long long>(fetched),
+                           complete ? "" : ", partial");
+  if (!complete) out += "tripped: " + trip.ToString() + "\n";
+  return out + warnings;
+}
+
+Status Shell::PrepareServe() {
+  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
+  // Index construction is the one database mutation on the eval path; doing
+  // it here means concurrent serve evaluations only ever read.
+  return access_.BuildIndexes(db_.get(), schema_);
+}
+
+Result<ServePlan> Shell::PlanForServe(std::string_view rest,
+                                      std::string_view command) {
+  size_t sp = rest.find(' ');
+  if (sp == std::string_view::npos) {
+    return Status::InvalidArgument("usage: " + std::string(command) +
+                                   " var=value,... <query>");
+  }
+  ServePlan plan;
+  SI_ASSIGN_OR_RETURN(plan.params, ParseShellBinding(rest.substr(0, sp)));
+  plan.query_text = std::string(StripWhitespace(rest.substr(sp + 1)));
+  SI_ASSIGN_OR_RETURN(plan.query, ParseFoQuery(plan.query_text, &schema_));
+  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
+  plan.fingerprint = obs::Fingerprint(plan.query_text);
+  SI_ASSIGN_OR_RETURN(plan.analysis,
+                      analysis_cache_->GetOrAnalyze(plan.query.body,
+                                                    plan.query_text, schema_,
+                                                    access_, {},
+                                                    &plan.compiled));
   metrics_->GetGauge("shell.analysis_cache.hits")
       .Set(static_cast<int64_t>(analysis_cache_->stats().hits));
   metrics_->GetGauge("shell.analysis_cache.misses")
       .Set(static_cast<int64_t>(analysis_cache_->stats().misses));
-  SI_RETURN_IF_ERROR(access_.BuildIndexes(db_.get(), schema_));
+  // The same option the evaluator will execute, so the bound the admission
+  // decision cites is the bound the certificate will carry.
+  const ControlOption* opt =
+      plan.analysis->BestOptionFor(BoundVariables(plan.params));
+  plan.static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
+  return plan;
+}
 
-  const std::string fingerprint = obs::Fingerprint(query_text);
+Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
+                                             const exec::GovernorLimits& limits,
+                                             const obs::QueryId& qid,
+                                             const std::string& client_tag,
+                                             bool explain) {
+  // The correlation slot is process-wide; concurrent sessions interleave
+  // recorder/span stamping, but the certificate's id below is set explicitly
+  // so journals stay exact.
+  obs::ScopedQueryCorrelation correlate(qid);
   if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kPlan, fingerprint,
-                           {obs::EventArg("query", query_text)});
+    obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
+                           {obs::EventArg("query", plan.query_text)});
   }
-
-  // The cache entry's program for this parameter set, compiled on first
-  // sighting. A parameter set the derivation does not control has none; the
-  // analysis-taking call below then surfaces the "not controlled" error.
-  std::shared_ptr<const exec::CompiledProgram> program =
-      compiled_set->GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto, q,
-                                      analysis, BoundVariables(params), nullptr);
-  BoundedEvalStats stats;
-  stats.capture_ops = explain;
-  const uint64_t start_ns = obs::MonotonicNowNs();
-  Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    BoundedEvaluator evaluator(db_.get());
-    evaluator.set_collect_timing(explain);
-    evaluator.set_limits(limits_);
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      return evaluator.EvaluateDegraded(*program, params, &stats);
-    }
-    return evaluator.EvaluateDegraded(q, *analysis, params, &stats);
-  }();
-  const double elapsed_ms =
-      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  if (!evaled.ok()) {
+  obs::AccessCertificate cert;
+  cert.query_fingerprint = plan.fingerprint;
+  cert.query_id = obs::RenderQueryId(qid);
+  cert.query_text = plan.query_text;
+  // The plan set is thread-safe and shared across sessions via the cache
+  // entry, so a program compiled by one session serves them all.
+  std::string why;
+  const std::shared_ptr<const exec::CompiledProgram> program =
+      plan.compiled->GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto,
+                                       plan.query, plan.analysis,
+                                       BoundVariables(plan.params), &why);
+  if (plan.static_bound < 0) {
     // A non-controllable query is workload signal, not just an error: seal a
     // no-static-bound certificate for it so `workload` and the offline report
     // can rank recurring classes that a view would make controllable, before
-    // surfacing the original error.
-    if (evaled.status().code() == StatusCode::kFailedPrecondition &&
-        evaled.status().message().find("not controlled") !=
-            std::string::npos) {
-      metrics_->GetCounter("shell.noncontrollable_queries").Increment();
-      obs::AccessCertificate cert;
-      cert.query_fingerprint = fingerprint;
-      cert.query_id = obs::RenderQueryId(qid);
-      cert.query_text = query_text;
-      (void)RecordEvalOutcome(std::move(cert), elapsed_ms,
-                              /*noncontrollable=*/true,
-                              /*governor_tripped=*/false);
-    }
-    return evaled.status();
+    // surfacing the compiler's error.
+    metrics_->GetCounter("shell.noncontrollable_queries").Increment();
+    (void)RecordServeVerdict(std::move(cert), /*elapsed_ms=*/0.0, client_tag);
+    return Status::FailedPrecondition(why);
   }
-  exec::Degraded<AnswerSet> degraded = std::move(evaled).ValueOrDie();
+  if (program == nullptr) return Status::Internal(why);
+  metrics_->GetCounter("exec.compiled_hits").Increment();
+  BoundedEvaluator evaluator(db_.get());
+  evaluator.set_collect_timing(explain);
+  evaluator.set_limits(limits);
+  BoundedEvalStats stats;
+  stats.capture_ops = explain;
+  const uint64_t start_ns = obs::MonotonicNowNs();
+  SI_ASSIGN_OR_RETURN(
+      exec::Degraded<AnswerSet> degraded,
+      evaluator.EvaluateDegraded(*program, plan.params, &stats));
+  const double elapsed_ms =
+      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
   metrics_
       ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
       .Observe(elapsed_ms);
-  const AnswerSet& answers = degraded.value;
   metrics_->GetCounter("shell.queries").Increment();
   metrics_->GetCounter("shell.base_tuples_fetched")
       .Increment(stats.base_tuples_fetched);
@@ -406,17 +440,12 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
     metrics_->GetCounter("shell.slow_queries").Increment();
     if (obs::FlightRecorderEnabled()) {
       obs::RecordFlightEvent(
-          obs::EventKind::kSlowQuery, fingerprint,
+          obs::EventKind::kSlowQuery, plan.fingerprint,
           {obs::EventArg("ms", elapsed_ms),
            obs::EventArg("threshold_ms", static_cast<uint64_t>(slow_ms))});
     }
   }
 
-  // Seal this query's access certificate and journal it.
-  obs::AccessCertificate cert;
-  cert.query_fingerprint = fingerprint;
-  cert.query_id = obs::RenderQueryId(qid);
-  cert.query_text = query_text;
   cert.static_bound = stats.static_bound;
   cert.actual_fetches = stats.base_tuples_fetched;
   cert.index_lookups = stats.index_lookups;
@@ -432,148 +461,21 @@ Result<std::string> Shell::RunEval(std::string_view rest, bool explain) {
   }
   cert.tripped = !degraded.complete;
   if (cert.tripped) cert.trip_reason = degraded.trip.ToString();
-  const std::string warnings =
-      RecordEvalOutcome(std::move(cert), elapsed_ms, /*noncontrollable=*/false,
-                        /*governor_tripped=*/!degraded.complete);
-
-  if (explain) {
-    std::string out =
-        obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
-                                  stats.index_lookups, stats.static_bound,
-                                  degraded.trip);
-    if (program != nullptr) out += "compiled:\n" + program->Disassemble();
-    return out +
-           StrFormat("(%zu answers%s)\n", answers.size(),
-                     degraded.complete ? "" : ", partial") +
-           warnings;
-  }
-  std::string out =
-      AnswerSetToString(answers, 50) +
-      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n",
-                answers.size(),
-                static_cast<unsigned long long>(stats.base_tuples_fetched),
-                degraded.complete ? "" : ", partial");
-  if (!degraded.complete) {
-    out += "tripped: " + degraded.trip.ToString() + "\n";
-  }
-  out += warnings;
-  return out;
-}
-
-Status Shell::PrepareServe() {
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
-  // Index construction is the one database mutation on the eval path; doing
-  // it here means concurrent serve evaluations only ever read.
-  return access_.BuildIndexes(db_.get(), schema_);
-}
-
-Result<ServePlan> Shell::PlanForServe(std::string_view rest) {
-  size_t sp = rest.find(' ');
-  if (sp == std::string_view::npos) {
-    return Status::InvalidArgument("usage: eval var=value,... <query>");
-  }
-  ServePlan plan;
-  SI_ASSIGN_OR_RETURN(plan.params, ParseShellBinding(rest.substr(0, sp)));
-  plan.query_text = std::string(StripWhitespace(rest.substr(sp + 1)));
-  SI_ASSIGN_OR_RETURN(plan.query, ParseFoQuery(plan.query_text, &schema_));
-  if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
-  plan.fingerprint = obs::Fingerprint(plan.query_text);
-  SI_ASSIGN_OR_RETURN(plan.analysis,
-                      analysis_cache_->GetOrAnalyze(plan.query.body,
-                                                    plan.query_text, schema_,
-                                                    access_, {},
-                                                    &plan.compiled));
-  // The same option the evaluator will execute, so the bound the admission
-  // decision cites is the bound the certificate will carry.
-  const ControlOption* opt =
-      plan.analysis->BestOptionFor(BoundVariables(plan.params));
-  plan.static_bound = opt == nullptr ? -1.0 : opt->fetch_bound;
-  return plan;
-}
-
-Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
-                                             const exec::GovernorLimits& limits,
-                                             const obs::QueryId& qid,
-                                             const std::string& client_tag) {
-  // The correlation slot is process-wide; concurrent sessions interleave
-  // recorder/span stamping, but the certificate's id below is set explicitly
-  // so journals stay exact.
-  obs::ScopedQueryCorrelation correlate(qid);
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kPlan, plan.fingerprint,
-                           {obs::EventArg("query", plan.query_text)});
-  }
-  // The plan set is thread-safe and shared across sessions via the cache
-  // entry, so a program compiled by one session serves them all.
-  std::shared_ptr<const exec::CompiledProgram> program =
-      plan.compiled->GetOrCompilePlain(exec::CompiledPlanSet::Mode::kAuto,
-                                       plan.query, plan.analysis,
-                                       BoundVariables(plan.params), nullptr);
-  BoundedEvalStats stats;
-  const uint64_t start_ns = obs::MonotonicNowNs();
-  Result<exec::Degraded<AnswerSet>> evaled = [&] {
-    BoundedEvaluator evaluator(db_.get());
-    evaluator.set_limits(limits);
-    if (program != nullptr) {
-      metrics_->GetCounter("exec.compiled_hits").Increment();
-      return evaluator.EvaluateDegraded(*program, plan.params, &stats);
-    }
-    return evaluator.EvaluateDegraded(plan.query, *plan.analysis, plan.params,
-                                      &stats);
-  }();
-  const double elapsed_ms =
-      static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  if (!evaled.ok()) {
-    if (evaled.status().code() == StatusCode::kFailedPrecondition &&
-        evaled.status().message().find("not controlled") !=
-            std::string::npos) {
-      metrics_->GetCounter("shell.noncontrollable_queries").Increment();
-      obs::AccessCertificate cert;
-      cert.query_fingerprint = plan.fingerprint;
-      cert.query_id = obs::RenderQueryId(qid);
-      cert.query_text = plan.query_text;
-      (void)RecordEvalOutcome(std::move(cert), elapsed_ms,
-                              /*noncontrollable=*/true,
-                              /*governor_tripped=*/false, client_tag);
-    }
-    return evaled.status();
-  }
-  exec::Degraded<AnswerSet> degraded = std::move(evaled).ValueOrDie();
-  metrics_
-      ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
-      .Observe(elapsed_ms);
-  metrics_->GetCounter("shell.queries").Increment();
-  metrics_->GetCounter("shell.base_tuples_fetched")
-      .Increment(stats.base_tuples_fetched);
-  metrics_->GetCounter("shell.index_lookups").Increment(stats.index_lookups);
-  for (const auto& [relation, fetched] : stats.fetched_by_relation) {
-    metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
-  }
-  if (!degraded.complete) {
-    metrics_
-        ->GetCounter(std::string("shell.governor.trips.") +
-                     exec::LimitKindName(degraded.trip.kind))
-        .Increment();
-  }
-
-  obs::AccessCertificate cert;
-  cert.query_fingerprint = plan.fingerprint;
-  cert.query_id = obs::RenderQueryId(qid);
-  cert.query_text = plan.query_text;
-  cert.static_bound = stats.static_bound;
-  cert.actual_fetches = stats.base_tuples_fetched;
-  cert.index_lookups = stats.index_lookups;
-  cert.tripped = !degraded.complete;
-  if (cert.tripped) cert.trip_reason = degraded.trip.ToString();
   ServeEvalOutcome out;
-  out.warnings = RecordEvalOutcome(std::move(cert), elapsed_ms,
-                                   /*noncontrollable=*/false,
-                                   /*governor_tripped=*/!degraded.complete,
-                                   client_tag);
+  out.warnings = RecordServeVerdict(std::move(cert), elapsed_ms, client_tag);
+  if (!degraded.complete && obs::PostMortemArmed()) {
+    if (Status s = obs::WritePostMortemStatus("governor-trip"); !s.ok()) {
+      out.warnings += "warning: post-mortem dump failed: " + s.message() + "\n";
+    }
+  }
   out.answers = degraded.value.size();
-  out.rendered = AnswerSetToString(degraded.value, 50);
+  out.rendered =
+      explain ? obs::RenderExplainAnalyze(stats.ops, stats.base_tuples_fetched,
+                                          stats.index_lookups,
+                                          stats.static_bound, degraded.trip) +
+                    "compiled:\n" + program->Disassemble()
+              : AnswerSetToString(degraded.value, 50);
   out.fetched = stats.base_tuples_fetched;
-  out.static_bound = stats.static_bound;
   out.complete = degraded.complete;
   out.trip = degraded.trip;
   return out;
@@ -582,15 +484,9 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
 std::string Shell::RecordServeVerdict(obs::AccessCertificate cert,
                                       double elapsed_ms,
                                       const std::string& client_tag) {
+  // No static bound and no trip: no derivation controls the query (an
+  // admission refusal is a tripped certificate, so it never counts here).
   const bool noncontrollable = cert.static_bound < 0 && !cert.tripped;
-  return RecordEvalOutcome(std::move(cert), elapsed_ms, noncontrollable,
-                           /*governor_tripped=*/false, client_tag);
-}
-
-std::string Shell::RecordEvalOutcome(obs::AccessCertificate cert,
-                                     double elapsed_ms, bool noncontrollable,
-                                     bool governor_tripped,
-                                     const std::string& client_tag) {
   obs::SealCertificate(&cert);
   metrics_
       ->GetCounter(std::string("shell.certificates.") +
@@ -614,11 +510,6 @@ std::string Shell::RecordEvalOutcome(obs::AccessCertificate cert,
     }
   }
   journal_->Append(std::move(cert));
-  if (governor_tripped && obs::PostMortemArmed()) {
-    if (Status s = obs::WritePostMortemStatus("governor-trip"); !s.ok()) {
-      warnings += "warning: post-mortem dump failed: " + s.message() + "\n";
-    }
-  }
   return warnings;
 }
 
@@ -627,7 +518,7 @@ Result<std::string> Shell::RunQdsi(std::string_view rest, bool explain) {
   if (sp == std::string_view::npos) {
     return Status::InvalidArgument("usage: qdsi <M> <cq-rule>");
   }
-  SI_ASSIGN_OR_RETURN(uint64_t m, ParseShellU64(rest.substr(0, sp)));
+  SI_ASSIGN_OR_RETURN(uint64_t m, ParseInteger<uint64_t>(rest.substr(0, sp)));
   SI_ASSIGN_OR_RETURN(Cq q, ParseCq(rest.substr(sp + 1), &schema_));
   if (db_ == nullptr) return Status::FailedPrecondition("no data loaded");
   QdsiOptions options;
@@ -812,7 +703,7 @@ Result<std::string> Shell::RunThreads(std::string_view rest) {
   par::WorkerPool& pool = par::WorkerPool::Global();
   const std::string arg(StripWhitespace(rest));
   if (!arg.empty()) {
-    SI_ASSIGN_OR_RETURN(uint64_t n, ParseShellU64(arg));
+    SI_ASSIGN_OR_RETURN(uint64_t n, ParseInteger<uint64_t>(arg));
     if (n < 1) n = 1;
     if (n > 64) n = 64;
     pool.Resize(static_cast<size_t>(n));
@@ -850,8 +741,8 @@ Result<std::string> Shell::RunWorkload(std::string_view rest) const {
     return out;
   }
   if (args.substr(0, 4) == "top ") {
-    SI_ASSIGN_OR_RETURN(uint64_t k,
-                        ParseShellU64(StripWhitespace(args.substr(4))));
+    SI_ASSIGN_OR_RETURN(
+        uint64_t k, ParseInteger<uint64_t>(StripWhitespace(args.substr(4))));
     return workload_->RenderTop(static_cast<size_t>(k));
   }
   if (args.substr(0, 12) == "fingerprint ") {
@@ -874,10 +765,10 @@ Result<std::string> Shell::RunSlowlog(std::string_view rest) {
     gauge.Set(0);
     return std::string("slow-query log off\n");
   }
-  SI_ASSIGN_OR_RETURN(uint64_t ms, ParseShellU64(rest));
-  gauge.Set(static_cast<int64_t>(ms));
-  return StrFormat("slow-query threshold: %llu ms\n",
-                   static_cast<unsigned long long>(ms));
+  SI_ASSIGN_OR_RETURN(int64_t ms, ParseThresholdMs(rest));
+  gauge.Set(ms);
+  return StrFormat("slow-query threshold: %lld ms\n",
+                   static_cast<long long>(ms));
 }
 
 Result<std::string> Shell::RunLimit(std::string_view rest) {
@@ -913,7 +804,8 @@ Result<std::string> Shell::RunLimit(std::string_view rest) {
           "usage: limit [fetch=N] [deadline=MS] [rows=N] | limit off");
     }
     std::string_view key = p.substr(0, eq);
-    SI_ASSIGN_OR_RETURN(uint64_t value, ParseShellU64(p.substr(eq + 1)));
+    SI_ASSIGN_OR_RETURN(uint64_t value,
+                        ParseInteger<uint64_t>(p.substr(eq + 1)));
     if (key == "fetch") {
       parsed.fetch_budget = value;
     } else if (key == "deadline") {

@@ -23,10 +23,17 @@
 
 namespace scalein {
 
-/// Pre-execution facts for one serve-mode query: the parse, the memoized §4
+/// Pre-execution facts for one query: the parse, the memoized §4
 /// controllability analysis, and the static Theorem 4.2 fetch bound for the
 /// given parameter set — everything the admission controller (src/serve)
 /// needs *before* running the query. Built by Shell::PlanForServe.
+///
+/// There is one query path, shared by the shell's `eval`/`explain` and the
+/// server: PlanForServe derives the bound, EvalForServe executes the
+/// derivation and certifies fetched ≤ bound, RecordServeVerdict seals and
+/// journals the certificate, and ServeEvalOutcome::AnswerBlock renders the
+/// answers. The names keep their serve prefix because the wire benchmark
+/// (wirebench/replay.cc) calls them as a pinned API.
 struct ServePlan {
   std::string query_text;
   std::string fingerprint;
@@ -42,17 +49,24 @@ struct ServePlan {
   double static_bound = -1.0;
 };
 
-/// What one serve-mode evaluation produced: the client-facing rendering plus
-/// the accounting the server folds into its envelope (actual fetches refund
-/// the unspent lease) and metrics.
+/// What one evaluation produced: the client-facing rendering plus the
+/// accounting the server folds into its envelope (actual fetches refund the
+/// unspent lease) and metrics.
 struct ServeEvalOutcome {
   size_t answers = 0;
-  std::string rendered;      ///< capped AnswerSetToString text
+  /// Capped AnswerSetToString text; for `explain`, the EXPLAIN ANALYZE tree
+  /// followed by the program's disassembly.
+  std::string rendered;
   uint64_t fetched = 0;      ///< base tuples actually read
-  double static_bound = -1.0;
   bool complete = true;      ///< false: governor tripped, partial extent
   exec::TripInfo trip;       ///< meaningful when !complete
   std::string warnings;      ///< surfaced journal/dump write failures
+
+  /// The answer block `eval` prints and the server sends after its decision
+  /// line: the rendered answers, `(N answers, M base tuples fetched[,
+  /// partial])`, a `tripped:` line when the governor cut the run short, and
+  /// the warnings.
+  std::string AnswerBlock() const;
 };
 
 /// Command interpreter behind examples/scalein_shell.cpp: builds up a schema,
@@ -136,27 +150,40 @@ class Shell {
   /// Memoized controllability derivations; invalidated on schema/access DDL.
   const AnalysisCache& analysis_cache() const { return *analysis_cache_; }
 
-  /// Serve-mode hooks (src/serve builds on these). PrepareServe freezes the
-  /// catalog for concurrent evaluation: it builds every access-schema index
-  /// up front so no later evaluation mutates the database. PlanForServe
-  /// parses "var=value,... <query>" and derives the pre-execution admission
-  /// facts (call it serially — the server holds its admission mutex).
-  /// EvalForServe runs one admitted query under the given governor envelope
-  /// and is safe to call from concurrent sessions after PrepareServe: it
-  /// touches only thread-safe members (metrics, workload aggregator, journal
-  /// ring + store) and never the session sequence.
+  /// The query path (see ServePlan); `eval`/`explain` and src/serve both
+  /// run every query through it. PrepareServe freezes the catalog for
+  /// concurrent evaluation: it builds every access-schema index up front so
+  /// no later evaluation mutates the database (the shell builds them per
+  /// eval instead, since it may load more rows in between). PlanForServe
+  /// parses "var=value,... <query>" (`command` names the command in the
+  /// usage error), consults the analysis cache and derives the
+  /// pre-execution admission facts; call it serially — the server holds its
+  /// admission mutex. EvalForServe runs one planned query under the given
+  /// governor envelope and is safe to call from concurrent sessions after
+  /// PrepareServe: it touches only thread-safe members (metrics, workload
+  /// aggregator, journal ring + store) and never the session sequence.
   Status PrepareServe();
-  Result<ServePlan> PlanForServe(std::string_view rest);
-  /// `client_tag` is the serve layer's caller-supplied trace tag; it rides
-  /// next to the sealed certificate in the persistent journal (a non-sealed
-  /// sibling, like latency) and is empty for untagged requests.
+  Result<ServePlan> PlanForServe(std::string_view rest,
+                                 std::string_view command = "eval");
+  /// A plan with no static bound is not controlled: EvalForServe seals a
+  /// no-static-bound certificate and returns FailedPrecondition without
+  /// running anything. Otherwise it executes the compiled derivation,
+  /// updates the session metrics and slow-query log, and seals the run's
+  /// certificate. `explain` captures per-op counters and timings into the
+  /// certificate and renders the EXPLAIN ANALYZE tree. `client_tag` is the
+  /// serve layer's caller-supplied trace tag; it rides next to the sealed
+  /// certificate in the persistent journal (a non-sealed sibling, like
+  /// latency) and is empty for untagged requests.
   Result<ServeEvalOutcome> EvalForServe(const ServePlan& plan,
                                         const exec::GovernorLimits& limits,
                                         const obs::QueryId& qid,
-                                        const std::string& client_tag = "");
-  /// Seals + journals a server-minted verdict certificate (admission rejects
-  /// and queue-timeout sheds carry the static bound that justified them, so
-  /// they are `certify`-checkable like any eval). Returns warning lines.
+                                        const std::string& client_tag = "",
+                                        bool explain = false);
+  /// Seals, tallies, journals (ring + persistent store) and records one
+  /// certificate: an evaluation's, or a server-minted verdict (admission
+  /// rejects and queue-timeout sheds carry the static bound that justified
+  /// them, so they are `certify`-checkable like any eval). Returns warning
+  /// lines for surfaced append failures.
   std::string RecordServeVerdict(obs::AccessCertificate cert,
                                  double elapsed_ms,
                                  const std::string& client_tag = "");
@@ -168,10 +195,10 @@ class Shell {
   Database* EnsureDb();
   Result<std::string> ExecuteImpl(const std::string& command,
                                   std::string_view rest);
-  /// Shared body of `eval` and `explain`: bounded evaluation of a
-  /// parameterized FO query. `explain` additionally collects per-node
-  /// counters/timings and renders the EXPLAIN ANALYZE tree with the static
-  /// Theorem 4.2 bound next to the actual fetch count.
+  /// `eval` / `explain`: mints the QueryId, plans, builds indexes, executes
+  /// and renders through the query path above. `explain` renders the
+  /// EXPLAIN ANALYZE tree with the static Theorem 4.2 bound next to the
+  /// actual fetch count.
   Result<std::string> RunEval(std::string_view rest, bool explain);
   /// `qdsi` / `explain qdsi`: the §3 decision procedure; explain renders the
   /// verdict/method/work span args collected during the decision.
@@ -192,12 +219,6 @@ class Shell {
   Result<std::string> RunThreads(std::string_view rest);
   /// `workload [top K | fingerprint <fp>]`: per-fingerprint telemetry.
   Result<std::string> RunWorkload(std::string_view rest) const;
-  /// Seals, tallies, journals (ring + persistent store), and records one
-  /// evaluation's certificate; returns warning lines for surfaced
-  /// append/dump failures (satellite: no silently dropped writes).
-  std::string RecordEvalOutcome(obs::AccessCertificate cert, double elapsed_ms,
-                                bool noncontrollable, bool governor_tripped,
-                                const std::string& client_tag = "");
 
   Schema schema_;
   AccessSchema access_;

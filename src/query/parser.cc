@@ -88,12 +88,13 @@ class Lexer {
                   std::isdigit(static_cast<unsigned char>(input_[i + 1])))) {
         size_t j = i + (c == '-' ? 1 : 0);
         while (j < n && std::isdigit(static_cast<unsigned char>(input_[j]))) ++j;
-        int64_t v = 0;
-        bool neg = (c == '-');
-        for (size_t k = i + (neg ? 1 : 0); k < j; ++k) {
-          v = v * 10 + (input_[k] - '0');
+        Result<int64_t> v = ParseInteger<int64_t>(input_.substr(i, j - i));
+        if (!v.ok()) {
+          return Status::InvalidArgument(
+              StrFormat("integer literal at offset %zu: %s", start,
+                        v.status().message().c_str()));
         }
-        out.push_back({TokKind::kInt, "", neg ? -v : v, start});
+        out.push_back({TokKind::kInt, "", *v, start});
         i = j;
       } else if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
         size_t j = i;

@@ -67,11 +67,9 @@ namespace {
 
 uint64_t EnvU64(const char* name, uint64_t fallback) {
   const char* v = std::getenv(name);
-  if (v == nullptr || v[0] == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return fallback;
-  return static_cast<uint64_t>(parsed);
+  if (v == nullptr) return fallback;
+  Result<uint64_t> parsed = ParseInteger<uint64_t>(v);
+  return parsed.ok() ? *parsed : fallback;
 }
 
 }  // namespace

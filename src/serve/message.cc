@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "util/strings.h"
+
 namespace scalein::serve {
 
 std::string EncodeFrame(bool ok, std::string_view payload) {
@@ -27,21 +29,19 @@ bool FrameDecoder::Next(bool* ok, std::string* payload) {
   }
   const size_t nl = buf_.find('\n');
   if (nl == std::string::npos) return false;
-  size_t len = 0;
-  for (size_t i = 1; i < nl; ++i) {
-    const char c = buf_[i];
-    if (c < '0' || c > '9') {
-      corrupt_ = true;
-      *ok = false;
-      *payload = "frame error: non-numeric length";
-      return true;
-    }
-    len = len * 10 + static_cast<size_t>(c - '0');
+  const Result<uint64_t> len =
+      ParseInteger<uint64_t>(std::string_view(buf_).substr(1, nl - 1));
+  if (!len.ok()) {
+    corrupt_ = true;
+    *ok = false;
+    *payload = "frame error: bad length: " + len.status().message();
+    return true;
   }
-  if (buf_.size() < nl + 1 + len) return false;
+  // nl < buf_.size(), so the subtraction cannot wrap; a huge length waits.
+  if (buf_.size() - (nl + 1) < *len) return false;
   *ok = kind == '+';
-  payload->assign(buf_, nl + 1, len);
-  buf_.erase(0, nl + 1 + len);
+  payload->assign(buf_, nl + 1, *len);
+  buf_.erase(0, nl + 1 + *len);
   return true;
 }
 

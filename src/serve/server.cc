@@ -89,11 +89,10 @@ Status Server::Start() {
       log_path = path;
     }
     if (const char* mb = std::getenv("SCALEIN_ACCESS_LOG_MAX_BYTES");
-        mb != nullptr && mb[0] != '\0') {
-      char* end = nullptr;
-      const unsigned long long parsed = std::strtoull(mb, &end, 10);
-      if (end != nullptr && *end == '\0' && parsed > 0) {
-        log_max_bytes = parsed;
+        mb != nullptr) {
+      if (Result<uint64_t> parsed = ParseInteger<uint64_t>(mb);
+          parsed.ok() && *parsed > 0) {
+        log_max_bytes = *parsed;
       }
     }
   }
@@ -209,8 +208,7 @@ std::string Server::RecordRefusal(const ServePlan& plan,
                                     client_tag);
 }
 
-std::string Server::EmitLifecycle(const ServePlan& plan,
-                                  const obs::QueryId& qid,
+std::string Server::EmitLifecycle(const obs::QueryId& qid,
                                   const std::string& sid,
                                   const std::string& client_tag,
                                   const AdmissionDecision& decision,
@@ -328,7 +326,6 @@ std::string Server::EmitLifecycle(const ServePlan& plan,
     span("serve.serialize", t.exec_done_ns, t.done_ns);
     span("serve.request", t.arrive_ns, t.done_ns);
   }
-  (void)plan;
   return warnings;
 }
 
@@ -498,7 +495,7 @@ Result<std::string> Server::Submit(const std::string& sid,
         StrFormat("q%llu ", static_cast<unsigned long long>(qid.seq)) +
         decision.ToString() + tag_echo + "\n" + warnings;
     t.done_ns = obs::MonotonicNowNs();
-    response += EmitLifecycle(plan, qid, sid, client_tag, decision,
+    response += EmitLifecycle(qid, sid, client_tag, decision,
                               /*outcome=*/nullptr, t, response.size());
     return response;
   }
@@ -533,14 +530,9 @@ Result<std::string> Server::Submit(const std::string& sid,
   }
   std::string response =
       StrFormat("q%llu ", static_cast<unsigned long long>(qid.seq)) +
-      decision.ToString() + tag_echo + "\n" + out.rendered +
-      StrFormat("\n(%zu answers, %llu base tuples fetched%s)\n", out.answers,
-                static_cast<unsigned long long>(out.fetched),
-                out.complete ? "" : ", partial");
-  if (!out.complete) response += "tripped: " + out.trip.ToString() + "\n";
-  response += out.warnings;
+      decision.ToString() + tag_echo + "\n" + out.AnswerBlock();
   t.done_ns = obs::MonotonicNowNs();
-  response += EmitLifecycle(plan, qid, sid, client_tag, decision, &out, t,
+  response += EmitLifecycle(qid, sid, client_tag, decision, &out, t,
                             response.size());
   return response;
 }
@@ -583,16 +575,11 @@ Result<std::string> Server::HandleLine(const std::string& sid,
     if (!options_.scripted) {
       return Status::InvalidArgument("#busy is a scripted-mode directive");
     }
-    std::string arg(StripWhitespace(line.substr(5)));
-    uint64_t n = 0;
-    for (char c : arg) {
-      if (c < '0' || c > '9') {
-        return Status::InvalidArgument("usage: #busy <n>");
-      }
-      n = n * 10 + static_cast<uint64_t>(c - '0');
-    }
+    Result<uint64_t> n =
+        ParseInteger<uint64_t>(StripWhitespace(line.substr(5)));
+    if (!n.ok()) return Status::InvalidArgument("usage: #busy <n>");
     std::lock_guard<std::mutex> lock(mu_);
-    synthetic_running_ = static_cast<size_t>(n);
+    synthetic_running_ = static_cast<size_t>(*n);
     return StrFormat("busy %zu\n", synthetic_running_);
   }
   if (StartsWith(line, "eval ")) {

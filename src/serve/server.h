@@ -153,8 +153,7 @@ class Server {
   /// serve-phase flight event, and retroactive phase spans when a tracer is
   /// installed. Caller holds mu_; returns warning lines (access-log append
   /// failures), never an error.
-  std::string EmitLifecycle(const ServePlan& plan, const obs::QueryId& qid,
-                            const std::string& sid,
+  std::string EmitLifecycle(const obs::QueryId& qid, const std::string& sid,
                             const std::string& client_tag,
                             const AdmissionDecision& decision,
                             const ServeEvalOutcome* outcome,

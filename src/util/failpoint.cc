@@ -117,15 +117,12 @@ Status ParseFailpointSpec(const std::string& spec,
     std::string_view clause = StripWhitespace(piece);
     if (clause.empty()) continue;
     if (clause.substr(0, 5) == "seed=") {
-      uint64_t s = 0;
-      for (char c : clause.substr(5)) {
-        if (c < '0' || c > '9') {
-          return Status::InvalidArgument("bad failpoint seed '" +
-                                         std::string(clause) + "'");
-        }
-        s = s * 10 + static_cast<uint64_t>(c - '0');
+      Result<uint64_t> s = ParseInteger<uint64_t>(clause.substr(5));
+      if (!s.ok()) {
+        return Status::InvalidArgument("bad failpoint seed '" +
+                                       std::string(clause) + "'");
       }
-      *seed = s;
+      *seed = *s;
       continue;
     }
     FailpointConfig config;

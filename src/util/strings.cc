@@ -1,9 +1,47 @@
 #include "util/strings.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
 namespace scalein {
+namespace {
+
+template <typename T>
+Result<T> FromChars(std::string_view text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec == std::errc::result_out_of_range) {
+    return Status::InvalidArgument("number out of range: '" +
+                                   std::string(text) + "'");
+  }
+  if (ec != std::errc() || ptr != end) {
+    if (text.empty()) return Status::InvalidArgument("expected a number");
+    return Status::InvalidArgument("expected a number, got '" +
+                                   std::string(text) + "'");
+  }
+  return value;
+}
+
+}  // namespace
+
+template <typename Int>
+Result<Int> ParseInteger(std::string_view text) {
+  return FromChars<Int>(text);
+}
+template Result<int64_t> ParseInteger<int64_t>(std::string_view text);
+template Result<uint64_t> ParseInteger<uint64_t>(std::string_view text);
+
+Result<double> ParseDouble(std::string_view text) {
+  SI_ASSIGN_OR_RETURN(double value, FromChars<double>(text));
+  if (!std::isfinite(value)) {
+    return Status::InvalidArgument("expected a finite number, got '" +
+                                   std::string(text) + "'");
+  }
+  return value;
+}
 
 std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   std::string out;

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/status.h"
+
 namespace scalein {
 
 /// Joins `parts` with `sep` ("a", "b" -> "a,b").
@@ -20,6 +22,17 @@ std::string_view StripWhitespace(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses all of `text` as a base-10 integer of type `Int` (int64_t or
+/// uint64_t): digits, with a leading '-' only for a signed type, and nothing
+/// else. Empty or malformed text and a value outside `Int` are
+/// InvalidArgument; nothing wraps, so "-1" is no uint64_t and 2^64 is not 0.
+template <typename Int>
+Result<Int> ParseInteger(std::string_view text);
+
+/// Parses all of `text` as a finite decimal number; malformed text, an
+/// overflow and inf/nan are InvalidArgument.
+Result<double> ParseDouble(std::string_view text);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 
 namespace scalein::util {
@@ -51,6 +52,18 @@ TEST(FailpointSpecTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(
       ParseFailpointSpec("scan_next=error(every:0)", &configs, &seed).ok());
   EXPECT_FALSE(ParseFailpointSpec("seed=abc", &configs, &seed).ok());
+}
+
+// The seed used to wrap modulo 2^64, so two different specs replayed one
+// schedule.
+TEST(FailpointSpecTest, OverflowingSeedIsRejected) {
+  std::vector<FailpointConfig> configs;
+  uint64_t seed = 0;
+  EXPECT_FALSE(
+      ParseFailpointSpec("seed=18446744073709551623", &configs, &seed).ok());
+  ASSERT_TRUE(
+      ParseFailpointSpec("seed=18446744073709551615", &configs, &seed).ok());
+  EXPECT_EQ(seed, UINT64_MAX);
 }
 
 TEST(FailpointTest, DisarmedSitesAreFreeAndOk) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace scalein {
 namespace {
 
@@ -55,13 +57,53 @@ TEST(IoTest, AccessSchemaValidatedAgainstSchema) {
 }
 
 TEST(IoTest, CsvValueTyping) {
-  EXPECT_EQ(ParseCsvValue("42"), Value::Int(42));
-  EXPECT_EQ(ParseCsvValue("-7"), Value::Int(-7));
-  EXPECT_EQ(ParseCsvValue("NYC"), Value::Str("NYC"));
-  EXPECT_EQ(ParseCsvValue("\"42\""), Value::Str("42"));  // quoted stays string
-  EXPECT_EQ(ParseCsvValue("  hello "), Value::Str("hello"));
-  EXPECT_EQ(ParseCsvValue("12ab"), Value::Str("12ab"));
-  EXPECT_EQ(ParseCsvValue("-"), Value::Str("-"));
+  EXPECT_EQ(*ParseCsvValue("42"), Value::Int(42));
+  EXPECT_EQ(*ParseCsvValue("-7"), Value::Int(-7));
+  EXPECT_EQ(*ParseCsvValue("NYC"), Value::Str("NYC"));
+  EXPECT_EQ(*ParseCsvValue("\"42\""), Value::Str("42"));  // quoted stays string
+  EXPECT_EQ(*ParseCsvValue("  hello "), Value::Str("hello"));
+  EXPECT_EQ(*ParseCsvValue("12ab"), Value::Str("12ab"));
+  EXPECT_EQ(*ParseCsvValue("-"), Value::Str("-"));
+}
+
+// An integer field outside int64_t is an error, not an abort, a wrap, or a
+// silent retyping as a string; the int64_t extremes still parse.
+TEST(IoTest, CsvIntegerOutOfRangeIsAnError) {
+  EXPECT_EQ(*ParseCsvValue("-9223372036854775808"), Value::Int(INT64_MIN));
+  EXPECT_EQ(*ParseCsvValue("9223372036854775807"), Value::Int(INT64_MAX));
+  for (const char* field : {"99999999999999999999", "9223372036854775808",
+                            "-9223372036854775809"}) {
+    Result<Value> v = ParseCsvValue(field);
+    ASSERT_FALSE(v.ok()) << field;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << field;
+  }
+  Result<Schema> s = ParseSchemaText("relation friend(id1, id2)\n");
+  ASSERT_TRUE(s.ok());
+  Database db(*s);
+  Status load = LoadRelationCsv(&db, "friend", "99999999999999999999,1\n");
+  EXPECT_EQ(load.code(), StatusCode::kInvalidArgument) << load.ToString();
+  EXPECT_EQ(db.relation("friend").size(), 0u);
+}
+
+// N= and T= are checked numbers: malformed, negative or out-of-range values
+// are InvalidArgument instead of a std::stoull/std::stod exception.
+TEST(IoTest, AccessBoundOptionsAreCheckedNumbers) {
+  Result<Schema> s = ParseSchemaText("relation friend(id1, id2)\n");
+  ASSERT_TRUE(s.ok());
+  for (const char* line :
+       {"access friend(id1) N=x50\n", "access friend(id1) N=-1\n",
+        "access friend(id1) N=18446744073709551616\n",
+        "access friend(id1) N=50 T=x1\n", "access friend(id1) N=50 T=1e999\n",
+        "access friend(id1) N=50 T=inf\n", "access friend(id1) N=5abc\n"}) {
+    Result<AccessSchema> a = ParseAccessSchemaText(line, *s);
+    ASSERT_FALSE(a.ok()) << line;
+    EXPECT_EQ(a.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  Result<AccessSchema> a = ParseAccessSchemaText(
+      "access friend(id1) N=18446744073709551615 T=0.5\n", *s);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  EXPECT_EQ(a->statements()[0].max_tuples, UINT64_MAX);
+  EXPECT_DOUBLE_EQ(a->statements()[0].retrieval_time, 0.5);
 }
 
 TEST(IoTest, LoadRelationCsvRoundTrip) {

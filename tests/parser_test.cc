@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace scalein {
 namespace {
 
@@ -131,6 +133,21 @@ TEST(ParserTest, NegativeIntegerConstants) {
   Result<Cq> q = ParseCq("Q(x) :- r(x, -5)");
   ASSERT_TRUE(q.ok());
   EXPECT_EQ(q->atoms()[0].args[1], Term::Const(Value::Int(-5)));
+}
+
+// An integer literal outside int64_t is a parse error; it used to wrap, so
+// `id = 18446744073709551618` compared against 2.
+TEST(ParserTest, IntegerLiteralOutOfRangeIsRejected) {
+  Result<Cq> min = ParseCq("Q(x) :- r(x, -9223372036854775808)");
+  ASSERT_TRUE(min.ok()) << min.status().ToString();
+  EXPECT_EQ(min->atoms()[0].args[1], Term::Const(Value::Int(INT64_MIN)));
+  for (const char* text : {"r(x) and x = 18446744073709551618",
+                           "r(x) and x = 9223372036854775808",
+                           "r(x) and x = -9223372036854775809"}) {
+    Result<Formula> f = ParseFormula(text);
+    ASSERT_FALSE(f.ok()) << text;
+    EXPECT_EQ(f.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(ParserTest, KeywordAsTermRejected) {

@@ -169,6 +169,24 @@ TEST(DecideAdmissionTest, IsDeterministic) {
   EXPECT_EQ(a.sub_budget, b.sub_budget);
 }
 
+// Garbage keeps the default: a negative number (strtoull wrapped "-1" to
+// 2^64-1 run slots and an unbounded queue) and a value past uint64_t too.
+TEST(SlaConfigTest, FromEnvKeepsDefaultsForNegativeAndOverflow) {
+  const SlaConfig defaults;
+  const char* kVars[] = {"SCALEIN_SLA_MAX_RUNNING", "SCALEIN_SLA_QUEUE_CAP",
+                         "SCALEIN_SLA_SESSION_BUDGET"};
+  for (const char* bad : {"-1", "99999999999999999999", "12x"}) {
+    for (const char* var : kVars) ::setenv(var, bad, 1);
+    const SlaConfig c = SlaConfig::FromEnv();
+    EXPECT_EQ(c.max_running, defaults.max_running) << bad;
+    EXPECT_EQ(c.queue_capacity, defaults.queue_capacity) << bad;
+    EXPECT_EQ(c.session_fetch_budget, defaults.session_fetch_budget) << bad;
+  }
+  ::setenv("SCALEIN_SLA_QUEUE_CAP", "7", 1);
+  EXPECT_EQ(SlaConfig::FromEnv().queue_capacity, 7u);
+  for (const char* var : kVars) ::unsetenv(var);
+}
+
 TEST(ClassifyBoundTest, BucketsByMagnitude) {
   EXPECT_EQ(ClassifyBound(1), BoundClass::kSmall);
   EXPECT_EQ(ClassifyBound(100), BoundClass::kSmall);
@@ -272,6 +290,19 @@ TEST(FrameTest, CorruptPrefixSurfacesAsErrorFrame) {
   ASSERT_TRUE(decoder.Next(&ok, &payload));
   EXPECT_FALSE(ok);
   EXPECT_NE(payload.find("frame error"), std::string::npos);
+}
+
+// A length past 2^64 used to wrap into a small one and desynchronize the
+// stream; it is a corrupt frame.
+TEST(FrameTest, OverflowingLengthIsCorrupt) {
+  FrameDecoder decoder;
+  decoder.Feed("+18446744073709551617\nab");
+  bool ok = true;
+  std::string payload;
+  ASSERT_TRUE(decoder.Next(&ok, &payload));
+  EXPECT_FALSE(ok);
+  EXPECT_NE(payload.find("frame error"), std::string::npos) << payload;
+  EXPECT_FALSE(decoder.Next(&ok, &payload));
 }
 
 // ---------------------------------------------------------------------------
@@ -473,6 +504,105 @@ TEST(ServerTest, ConcurrentSessionsEvaluateSafely) {
   }
   EXPECT_EQ(server.session_count(), 0u);
   EXPECT_EQ(server.running(), 0u);
+}
+
+// A client-supplied number the engine cannot hold is a protocol error for
+// that one request: it used to throw std::out_of_range and abort the server.
+TEST(ServerTest, OutOfRangeNumbersAreErrorsNotAborts) {
+  Shell shell;
+  LoadCatalog(&shell);
+  Server::Options options;
+  options.scripted = true;
+  Server server(&shell, options);
+  ASSERT_TRUE(server.Start().ok());
+  MustLine(&server, "a", "hello");
+  for (const char* line :
+       {"eval p=99999999999999999999 F(p, id) := friend(p, id)",
+        "eval p=1 F(p, id) := friend(p, id) and id = 18446744073709551618",
+        "#busy 18446744073709551617"}) {
+    Result<std::string> out = server.HandleLine("a", line);
+    ASSERT_FALSE(out.ok()) << line << " -> " << *out;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  // The session survives, and the refused parses consumed no QueryId.
+  const std::string next = MustLine(&server, "a", kFriendEval);
+  EXPECT_EQ(next.rfind("q1 admit", 0), 0u) << next;
+  EXPECT_NE(next.find("(2 answers, 4 base tuples fetched)"), std::string::npos)
+      << next;
+}
+
+// A served eval feeds the slow-query log and the analysis-cache gauges
+// exactly like the shell's `eval`: both run one query path.
+TEST(ServerTest, ServedEvalFeedsSlowQueryLogAndCacheGauges) {
+  struct FailpointGuard {
+    ~FailpointGuard() { util::Failpoints::Global().Clear(); }
+  } guard;
+  Shell shell;
+  LoadCatalog(&shell);
+  ASSERT_TRUE(shell.Execute("slowlog 1").ok());
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  MustLine(&server, "a", "hello");
+  ASSERT_TRUE(
+      util::Failpoints::Global().Configure("index_probe=delay(5ms)").ok());
+  const std::string resp = MustLine(&server, "a", kFriendEval);
+  util::Failpoints::Global().Clear();
+  ASSERT_EQ(resp.rfind("q1 admit", 0), 0u) << resp;
+
+  const obs::Counter* slow = shell.metrics().FindCounter("shell.slow_queries");
+  ASSERT_NE(slow, nullptr);
+  EXPECT_EQ(slow->value(), 1u);
+  const std::string qid = shell.journal().certificates().back().query_id;
+  ASSERT_EQ(qid.substr(qid.size() - 2), "-1");
+  size_t slow_events = 0;
+  for (const obs::FlightEvent& e : shell.recorder().events()) {
+    if (e.kind != obs::EventKind::kSlowQuery) continue;
+    ++slow_events;
+    EXPECT_EQ(obs::RenderQueryId({e.qid_session, e.qid_seq}), qid);
+  }
+  EXPECT_EQ(slow_events, 1u);
+  EXPECT_EQ(shell.mutable_metrics()
+                ->GetGauge("shell.analysis_cache.misses")
+                .value(),
+            1);
+}
+
+// The shell's `eval` and a served eval of the same text render
+// byte-identical answer blocks and seal certificates that differ only in
+// their QueryId (and so their signature) — clean, and under an output-row
+// cap that trips.
+TEST(ServerTest, ShellAndServedEvalsAgreeByteForByte) {
+  for (const bool capped : {false, true}) {
+    Shell direct;
+    LoadCatalog(&direct);
+    if (capped) {
+      ASSERT_TRUE(direct.Execute("limit rows=1").ok());
+    }
+    Result<std::string> from_shell = direct.Execute(kFriendEval);
+    ASSERT_TRUE(from_shell.ok()) << from_shell.status().ToString();
+
+    Shell served;
+    LoadCatalog(&served);
+    Server::Options options;
+    if (capped) options.sla.output_row_cap = 1;
+    Server server(&served, options);
+    ASSERT_TRUE(server.Start().ok());
+    MustLine(&server, "a", "hello");
+    const std::string response = MustLine(&server, "a", kFriendEval);
+    // Everything after the admission decision line is the answer block.
+    const size_t nl = response.find('\n');
+    ASSERT_NE(nl, std::string::npos);
+    EXPECT_EQ(response.substr(nl + 1), *from_shell) << "capped=" << capped;
+    EXPECT_EQ(from_shell->find("tripped: ") != std::string::npos, capped);
+
+    obs::AccessCertificate a = direct.journal().certificates().back();
+    obs::AccessCertificate b = served.journal().certificates().back();
+    EXPECT_EQ(a.tripped, capped);
+    a.query_id.clear();
+    b.query_id.clear();
+    EXPECT_EQ(obs::CertificatePayload(a), obs::CertificatePayload(b))
+        << "capped=" << capped;
+  }
 }
 
 // ---------------------------------------------------------------------------

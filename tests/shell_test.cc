@@ -126,6 +126,42 @@ TEST(ShellTest, ErrorsAreReportedNotFatal) {
   EXPECT_NE(Must(&shell, "show").find("person"), std::string::npos);
 }
 
+// Numbers from the command line are checked: an out-of-range integer in a
+// CSV row, a binding or a query literal, or a malformed access bound, is an
+// InvalidArgument error — never an abort or a wrapped value.
+TEST(ShellTest, OutOfRangeNumbersAreErrorsNotAborts) {
+  Shell shell = LoadedShell();
+  for (const char* line :
+       {"row friend 99999999999999999999,1", "access access friend(id1) N=x50",
+        "access access friend(id1) N=50 T=x1",
+        "eval p=99999999999999999999 F(p, id) := friend(p, id)",
+        "eval p=1 F(p, id) := friend(p, id) and id = 18446744073709551618"}) {
+    Result<std::string> out = shell.Execute(line);
+    ASSERT_FALSE(out.ok()) << line << " -> " << *out;
+    EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument) << line;
+  }
+  // Nothing was loaded or declared, and the session still answers.
+  EXPECT_NE(Must(&shell, "show").find("|D| = 5 tuples"), std::string::npos);
+  EXPECT_NE(Must(&shell, "eval p=1 F(p, id) := friend(p, id)")
+                .find("(2 answers, 2 base tuples fetched)"),
+            std::string::npos);
+}
+
+// `limit`, `threads` and `qdsi` counts used to wrap modulo 2^64
+// (`limit fetch=18446744073709551617` armed fetch=1).
+TEST(ShellTest, OverflowingCountsFailAndLeaveStateUnchanged) {
+  Shell shell = LoadedShell();
+  Must(&shell, "limit fetch=5 rows=7");
+  EXPECT_FALSE(shell.Execute("limit fetch=18446744073709551617").ok());
+  EXPECT_FALSE(shell.Execute("limit rows=3 fetch=-1").ok());
+  EXPECT_EQ(Must(&shell, "limit"), "limits: fetch=5 rows=7\n");
+  const std::string threads = Must(&shell, "threads");
+  EXPECT_FALSE(shell.Execute("threads 18446744073709551618").ok());
+  EXPECT_EQ(Must(&shell, "threads"), threads);
+  EXPECT_FALSE(
+      shell.Execute("qdsi 18446744073709551617 Q(x) :- friend(x, y)").ok());
+}
+
 TEST(ShellTest, SchemaFrozenAfterData) {
   Shell shell = LoadedShell();
   Result<std::string> r = shell.Execute("schema relation extra(x)");

@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
@@ -66,6 +67,41 @@ TEST(StringsTest, StrFormatAndHash) {
   EXPECT_EQ(h1, h2);
   EXPECT_NE(h1, h3);
   EXPECT_NE(HashCombine(1, 2), HashCombine(2, 1));
+}
+
+// One checked parser for every integer that arrives from outside: the whole
+// text must be digits (with a '-' only for a signed type), and a value the
+// type cannot hold is an error instead of a wrap.
+TEST(StringsTest, ParseIntegerIsChecked) {
+  EXPECT_EQ(*ParseInteger<int64_t>("42"), 42);
+  EXPECT_EQ(*ParseInteger<int64_t>("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(*ParseInteger<int64_t>("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(*ParseInteger<uint64_t>("18446744073709551615"), UINT64_MAX);
+  EXPECT_EQ(*ParseInteger<uint64_t>("007"), 7u);
+  for (const char* bad : {"9223372036854775808", "-9223372036854775809",
+                          "99999999999999999999", "", "-", "+1", " 1", "1 ",
+                          "12x", "0x10"}) {
+    Result<int64_t> v = ParseInteger<int64_t>(bad);
+    ASSERT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  for (const char* bad : {"18446744073709551616", "18446744073709551617",
+                          "-1", "-0", "", "1.5"}) {
+    Result<uint64_t> v = ParseInteger<uint64_t>(bad);
+    ASSERT_FALSE(v.ok()) << "'" << bad << "'";
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
+  EXPECT_EQ(ParseInteger<uint64_t>("abc").status().message(),
+            "expected a number, got 'abc'");
+}
+
+TEST(StringsTest, ParseDoubleIsChecked) {
+  EXPECT_DOUBLE_EQ(*ParseDouble("2"), 2.0);
+  EXPECT_DOUBLE_EQ(*ParseDouble("-0.25"), -0.25);
+  EXPECT_DOUBLE_EQ(*ParseDouble("1e3"), 1000.0);
+  for (const char* bad : {"", "x1", "1x", "1e999", "inf", "nan", " 1"}) {
+    EXPECT_FALSE(ParseDouble(bad).ok()) << "'" << bad << "'";
+  }
 }
 
 TEST(PrinterTest, TableAlignment) {
