@@ -1,5 +1,6 @@
 #include "io/catalog.h"
 
+#include <algorithm>
 #include <cctype>
 #include <fstream>
 #include <sstream>
@@ -9,22 +10,33 @@
 namespace scalein {
 namespace {
 
-/// Strips comments ('#' to end of line) and splits into non-empty lines.
-std::vector<std::string> CleanLines(std::string_view text) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == '\n') {
-      std::string_view line = text.substr(start, i - start);
-      size_t hash = line.find('#');
-      if (hash != std::string_view::npos) line = line.substr(0, hash);
-      line = StripWhitespace(line);
-      if (!line.empty()) out.emplace_back(line);
-      start = i + 1;
+/// Walks text line by line, with comments ('#' to end of line) and
+/// surrounding whitespace stripped, skipping lines left empty. Lines are
+/// views into the text: nothing is copied.
+class CleanLines {
+ public:
+  explicit CleanLines(std::string_view text) : rest_(text) {}
+
+  bool Next(std::string_view* line) {
+    while (!rest_.empty()) {
+      const size_t nl = rest_.find('\n');
+      std::string_view raw = rest_.substr(0, nl);
+      rest_ = nl == std::string_view::npos ? std::string_view()
+                                           : rest_.substr(nl + 1);
+      const size_t hash = raw.find('#');
+      if (hash != std::string_view::npos) raw = raw.substr(0, hash);
+      raw = StripWhitespace(raw);
+      if (!raw.empty()) {
+        *line = raw;
+        return true;
+      }
     }
+    return false;
   }
-  return out;
-}
+
+ private:
+  std::string_view rest_;
+};
 
 /// Parses "name(a, b, c)" into name + attribute list.
 Result<std::pair<std::string, std::vector<std::string>>> ParseNameWithAttrs(
@@ -92,7 +104,9 @@ std::vector<std::string> SplitTokens(std::string_view line) {
 
 Result<Schema> ParseSchemaText(std::string_view text) {
   Schema schema;
-  for (const std::string& line : CleanLines(text)) {
+  CleanLines lines(text);
+  for (std::string_view view; lines.Next(&view);) {
+    const std::string line(view);
     if (!StartsWith(line, "relation ")) {
       return Status::InvalidArgument("expected 'relation ...': '" + line + "'");
     }
@@ -111,7 +125,9 @@ Result<Schema> ParseSchemaText(std::string_view text) {
 Result<AccessSchema> ParseAccessSchemaText(std::string_view text,
                                            const Schema& schema) {
   AccessSchema access;
-  for (const std::string& line : CleanLines(text)) {
+  CleanLines lines(text);
+  for (std::string_view view; lines.Next(&view);) {
+    const std::string line(view);
     if (StartsWith(line, "key ")) {
       SI_ASSIGN_OR_RETURN(auto parsed,
                           ParseNameWithAttrs(std::string_view(line).substr(4)));
@@ -213,32 +229,37 @@ Result<Value> ParseCsvValue(std::string_view field) {
 
 Status LoadRelationCsv(Database* db, const std::string& relation,
                        std::string_view csv) {
-  const Relation* rel = db->FindRelation(relation);
-  if (rel == nullptr) {
+  if (db->FindRelation(relation) == nullptr) {
     return Status::NotFound("unknown relation '" + relation + "'");
   }
-  const size_t arity = rel->arity();
+  Relation& rel = db->relation(relation);
+  const size_t arity = rel.arity();
+  // One row per line at most: size rows and the set table once.
+  rel.Reserve(rel.size() + std::count(csv.begin(), csv.end(), '\n') + 1);
+  Tuple t(arity);
   size_t line_number = 0;
-  for (const std::string& line : CleanLines(csv)) {
+  CleanLines lines(csv);
+  for (std::string_view line; lines.Next(&line);) {
     ++line_number;
-    std::vector<std::string> fields = Split(line, ',');
-    if (fields.size() != arity) {
+    const size_t fields = std::count(line.begin(), line.end(), ',') + 1;
+    if (fields != arity) {
       return Status::InvalidArgument(StrFormat(
           "%s line %zu: expected %zu fields, got %zu", relation.c_str(),
-          line_number, arity, fields.size()));
+          line_number, arity, fields));
     }
-    Tuple t;
-    t.reserve(arity);
-    for (const std::string& f : fields) {
-      Result<Value> v = ParseCsvValue(f);
+    for (size_t i = 0; i < arity; ++i) {
+      const size_t comma = line.find(',');
+      Result<Value> v = ParseCsvValue(line.substr(0, comma));
       if (!v.ok()) {
         return Status::InvalidArgument(StrFormat(
             "%s line %zu: %s", relation.c_str(), line_number,
             v.status().message().c_str()));
       }
-      t.push_back(std::move(v).ValueOrDie());
+      t[i] = *v;
+      line.remove_prefix(comma == std::string_view::npos ? line.size()
+                                                          : comma + 1);
     }
-    db->Insert(relation, t);
+    rel.Insert(t);
   }
   return Status::OK();
 }

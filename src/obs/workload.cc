@@ -54,6 +54,22 @@ std::string RenderBuckets(const std::vector<uint64_t>& buckets,
   return out;
 }
 
+/// Upper edges, in percent, of the global bound-slack histogram (see
+/// WorkloadAggregator::SlackPercentilePercent).
+const std::vector<double>& SlackBucketEdges() {
+  static const std::vector<double>* edges = [] {
+    auto* out = new std::vector<double>;
+    for (double decade = 1; decade < 1e14; decade *= 10) {
+      for (double m : {10, 12, 15, 20, 25, 30, 40, 50, 60, 80}) {
+        out->push_back(m * decade);
+      }
+    }
+    out->push_back(1e15);
+    return out;
+  }();
+  return *edges;
+}
+
 }  // namespace
 
 const std::vector<double>& FetchBucketEdges() {
@@ -114,7 +130,8 @@ void WorkloadAggregator::Observe(const AccessCertificate& cert,
         static_cast<double>(cert.actual_fetches) / cert.static_bound;
     s.slack_sum += cert.static_bound / actual;
     ++s.accuracy_count;
-    slack_percents_.push_back(100.0 * cert.static_bound / actual);
+    ObserveBucket(&slack_buckets_, SlackBucketEdges(),
+                  100.0 * cert.static_bound / actual);
   }
 }
 
@@ -221,17 +238,19 @@ std::string WorkloadAggregator::RenderFingerprint(
 }
 
 int64_t WorkloadAggregator::SlackPercentilePercent(double p) const {
-  std::vector<double> samples;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples = slack_percents_;
+  std::lock_guard<std::mutex> lock(mu_);
+  uint64_t total = 0;
+  for (uint64_t n : slack_buckets_) total += n;
+  if (total == 0) return 0;
+  const double rank = std::ceil(p / 100.0 * static_cast<double>(total));
+  const uint64_t target = rank <= 1 ? 1 : static_cast<uint64_t>(rank);
+  const std::vector<double>& edges = SlackBucketEdges();
+  uint64_t seen = 0;
+  for (size_t i = 0; i < edges.size(); ++i) {
+    seen += slack_buckets_[i];
+    if (seen >= target) return static_cast<int64_t>(edges[i]);
   }
-  if (samples.empty()) return 0;
-  std::sort(samples.begin(), samples.end());
-  const double rank = std::ceil(p / 100.0 * static_cast<double>(samples.size()));
-  size_t idx = rank <= 1 ? 0 : static_cast<size_t>(rank) - 1;
-  if (idx >= samples.size()) idx = samples.size() - 1;
-  return static_cast<int64_t>(std::llround(samples[idx]));
+  return static_cast<int64_t>(edges.back());  // the overflow bucket
 }
 
 void WorkloadAggregator::ExportMetrics(MetricsRegistry* registry) const {
@@ -251,7 +270,7 @@ void WorkloadAggregator::ExportMetrics(MetricsRegistry* registry) const {
 void WorkloadAggregator::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   by_fingerprint_.clear();
-  slack_percents_.clear();
+  slack_buckets_.clear();
   observations_ = 0;
   noncontrollable_ = 0;
 }

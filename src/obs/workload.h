@@ -101,7 +101,11 @@ class WorkloadAggregator {
   std::string RenderFingerprint(const std::string& fingerprint) const;
 
   /// Nearest-rank percentile of bound-slack percent (100*bound/max(actual,1))
-  /// across every bounded observation; 0 when none. `p` in (0, 100].
+  /// across every bounded observation, at bucket resolution: the upper edge
+  /// of the slack bucket that holds the nearest rank; 0 when none. The edges
+  /// are 10, 12, 15, 20, 25, 30, 40, 50, 60 and 80 % times 10^0 through
+  /// 10^13, then 10^15, which slack past it also reads as; neighbouring
+  /// edges are at most a third apart. `p` in (0, 100].
   int64_t SlackPercentilePercent(double p) const;
 
   /// Publishes workload.fingerprints, workload.observations,
@@ -114,7 +118,9 @@ class WorkloadAggregator {
  private:
   mutable std::mutex mu_;
   std::map<std::string, WorkloadFingerprintStats> by_fingerprint_;
-  std::vector<double> slack_percents_;  ///< global, in observation order
+  /// Global bound-slack counts per slack bucket edge + overflow: a fixed
+  /// size, however many requests are observed.
+  std::vector<uint64_t> slack_buckets_;
   uint64_t observations_ = 0;
   uint64_t noncontrollable_ = 0;
 };

@@ -9,12 +9,79 @@
 
 namespace scalein {
 
+/// Linear-probing hash table of 32-bit ids whose keys live outside it: a
+/// relation's set of rows, a HashIndex's entries. A slot holds an id and a
+/// 32-bit tag of its key's hash. The tag alone places a slot, so growing
+/// never reads a key, and a probe compares a key only on a tag match. Erase
+/// shifts the rest of the probe run back instead of leaving tombstones.
+class IdTable {
+ public:
+  static constexpr uint32_t kNone = 0xffffffffu;
+
+  /// The tag of a key hash. HashTuple's combine is weak in the bits a
+  /// power-of-two table would use, so the hash is mixed (the fmix64
+  /// finalizer) here rather than changed for every hashed container.
+  static uint32_t Tag(uint64_t hash) {
+    hash ^= hash >> 33;
+    hash *= 0xff51afd7ed558ccdULL;
+    hash ^= hash >> 33;
+    hash *= 0xc4ceb9fe1a85ec53ULL;
+    hash ^= hash >> 33;
+    return static_cast<uint32_t>(hash >> 32);
+  }
+
+  /// The id stored under `tag` for which `same(id)` holds, or kNone.
+  template <typename Same>
+  uint32_t Find(uint32_t tag, const Same& same) const {
+    if (size_ == 0) return kNone;
+    for (size_t i = Home(tag);; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id == kNone) return kNone;
+      if (s.tag == tag && same(s.id)) return s.id;
+    }
+  }
+
+  /// Stores `id` under `tag`; the caller has checked its key is absent.
+  void Insert(uint32_t tag, uint32_t id);
+  /// Removes `id`, stored under `tag`.
+  void Erase(uint32_t tag, uint32_t id);
+  /// Replaces `old_id`, stored under `tag`, by `new_id` in the same slot.
+  void Repoint(uint32_t tag, uint32_t old_id, uint32_t new_id);
+  /// Sizes the table so `n` ids fit without growing.
+  void Reserve(size_t n);
+
+ private:
+  struct Slot {
+    uint32_t id = kNone;
+    uint32_t tag = 0;
+  };
+
+  /// A tag's first slot: its top log2(capacity) bits.
+  size_t Home(uint32_t tag) const { return tag >> shift_; }
+  /// The slot holding `id`, stored under `tag`.
+  size_t SlotOf(uint32_t tag, uint32_t id) const;
+  void Rehash(size_t capacity);
+
+  std::vector<Slot> slots_;  ///< power-of-two capacity, at most 3/4 full
+  size_t mask_ = 0;
+  unsigned shift_ = 32;
+  size_t size_ = 0;
+};
+
 /// Exact-match hash index over a subset of a relation's attribute positions.
 ///
 /// This is the physical realization of an access-schema entry (R, X, N, T):
 /// given values ā for X, `Lookup` returns the row ids of σ_{X=ā}(R) in O(1)
 /// expected time (the paper's retrieval-time guarantee T). The index is
 /// maintained incrementally by the owning Relation on insert/remove.
+///
+/// Layout: one entry per distinct key, in a dense array. Entry e's key
+/// values sit inline at `keys_[e*w, e*w + w)` and its row ids in `rows_[e]`;
+/// an IdTable of entry ids finds the entry for a key. A key's row ids keep
+/// the order of AddRow, RemoveRow swaps the key's last row id into the hole,
+/// and MoveRow re-points one in place, so answers and fetch counts replay
+/// byte for byte. An entry whose last row goes is swapped with the last
+/// entry.
 class HashIndex {
  public:
   /// `positions`: attribute positions forming the key, in key order.
@@ -25,26 +92,16 @@ class HashIndex {
 
   /// Row ids whose key equals `key` (values in `positions()` order), or
   /// nullptr when no row matches. Accepts any tuple representation without
-  /// materializing (transparent lookup).
+  /// materializing. Like a `Relation::TupleAt` view, the result is
+  /// invalidated by any mutation of the owning relation: a new key may move
+  /// the entry array.
   const std::vector<uint32_t>* Lookup(TupleView key) const {
-    auto it = buckets_.find(key);
-    if (it == buckets_.end()) return nullptr;
-    return &it->second;
+    const uint32_t entry = FindEntry(key, IdTable::Tag(HashTuple(key)));
+    return entry == IdTable::kNone ? nullptr : &rows_[entry];
   }
-
-  /// Number of distinct key values present.
-  size_t NumKeys() const { return buckets_.size(); }
-
-  /// Pre-sizes the bucket table for an upper bound of `rows` distinct keys.
-  /// Call before bulk builds (EnsureIndex) so loading a large relation is
-  /// one allocation instead of a rehash storm.
-  void ReserveRows(size_t rows) { buckets_.reserve(rows); }
 
   /// Size of the largest bucket: the empirical N of (R, X, N, T).
   size_t MaxBucketSize() const;
-
-  /// Extracts this index's key from a full row.
-  Tuple KeyOf(TupleView row) const { return ProjectTuple(row, positions_); }
 
   // Maintenance hooks, called by Relation.
   void AddRow(TupleView row, uint32_t row_id);
@@ -53,13 +110,26 @@ class HashIndex {
   void MoveRow(TupleView row, uint32_t old_id, uint32_t new_id);
 
  private:
+  TupleView KeyAt(uint32_t entry) const {
+    const size_t w = positions_.size();
+    return TupleView(keys_.data() + entry * w, w);
+  }
+
+  /// The entry holding `key`, whose tag is `tag`, or kNone.
+  uint32_t FindEntry(TupleView key, uint32_t tag) const {
+    return table_.Find(
+        tag, [&](uint32_t e) { return TupleEquals(KeyAt(e), key); });
+  }
+
   /// Projects `row` onto the key positions into a reused buffer, so the
   /// maintenance hooks don't allocate a fresh key per maintained index on
   /// every insert/remove.
   const Tuple& ScratchKey(TupleView row) const;
 
   std::vector<size_t> positions_;
-  std::unordered_map<Tuple, std::vector<uint32_t>, TupleHash, TupleEq> buckets_;
+  IdTable table_;                            ///< entry ids, placed by key
+  std::vector<Value> keys_;                  ///< entry keys, inline
+  std::vector<std::vector<uint32_t>> rows_;  ///< row ids per entry
   mutable Tuple scratch_;
 };
 

@@ -12,27 +12,15 @@ std::vector<size_t> Relation::CanonicalPositions(
   return c;
 }
 
-const HashIndex& Relation::FullIndex() const {
-  std::vector<size_t> all(arity_);
-  for (size_t i = 0; i < arity_; ++i) all[i] = i;
-  auto it = indexes_.find(all);
-  if (it != indexes_.end()) return *it->second;
-  auto idx = std::make_unique<HashIndex>(all);
-  idx->ReserveRows(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) {
-    idx->AddRow(TupleAt(i), static_cast<uint32_t>(i));
-  }
-  const HashIndex& ref = *idx;
-  indexes_.emplace(std::move(all), std::move(idx));
-  return ref;
-}
-
 bool Relation::Insert(TupleView t) {
   SI_CHECK_EQ(t.size(), arity_);
-  if (Contains(t)) return false;
+  const uint32_t tag = RowTag(t);
+  if (FindRow(t, tag) != IdTable::kNone) return false;
+  SI_CHECK_LT(num_rows_, size_t{IdTable::kNone});
   data_.insert(data_.end(), t.begin(), t.end());
   uint32_t id = static_cast<uint32_t>(num_rows_);
   ++num_rows_;
+  set_.Insert(tag, id);
   TupleView row = TupleAt(id);
   for (auto& [positions, idx] : indexes_) idx->AddRow(row, id);
   for (auto& [key, pidx] : projection_indexes_) pidx->AddRow(row);
@@ -41,24 +29,21 @@ bool Relation::Insert(TupleView t) {
 
 bool Relation::Remove(TupleView t) {
   SI_CHECK_EQ(t.size(), arity_);
-  const HashIndex& full = FullIndex();
-  const std::vector<uint32_t>* rows = full.Lookup(t);
-  if (rows == nullptr) return false;
-  SI_CHECK_EQ(rows->size(), 1u);  // set semantics
-  uint32_t victim = (*rows)[0];
-  uint32_t last = static_cast<uint32_t>(num_rows_ - 1);
+  const uint32_t tag = RowTag(t);
+  const uint32_t victim = FindRow(t, tag);
+  if (victim == IdTable::kNone) return false;
+  const uint32_t last = static_cast<uint32_t>(num_rows_ - 1);
 
-  Tuple victim_content = ToTuple(TupleAt(victim));
-  for (auto& [positions, idx] : indexes_) idx->RemoveRow(victim_content, victim);
-  for (auto& [key, pidx] : projection_indexes_) pidx->RemoveRow(victim_content);
+  set_.Erase(tag, victim);
+  const TupleView victim_row = TupleAt(victim);
+  for (auto& [positions, idx] : indexes_) idx->RemoveRow(victim_row, victim);
+  for (auto& [key, pidx] : projection_indexes_) pidx->RemoveRow(victim_row);
 
   if (victim != last) {
-    Tuple moved_content = ToTuple(TupleAt(last));
-    for (auto& [positions, idx] : indexes_) {
-      idx->MoveRow(moved_content, last, victim);
-    }
-    std::copy(moved_content.begin(), moved_content.end(),
-              data_.begin() + victim * arity_);
+    const TupleView moved = TupleAt(last);
+    set_.Repoint(RowTag(moved), last, victim);
+    for (auto& [positions, idx] : indexes_) idx->MoveRow(moved, last, victim);
+    std::copy(moved.begin(), moved.end(), data_.begin() + victim * arity_);
   }
   data_.resize(data_.size() - arity_);
   --num_rows_;
@@ -67,7 +52,7 @@ bool Relation::Remove(TupleView t) {
 
 bool Relation::Contains(TupleView t) const {
   SI_CHECK_EQ(t.size(), arity_);
-  return FullIndex().Lookup(t) != nullptr;
+  return FindRow(t, RowTag(t)) != IdTable::kNone;
 }
 
 const HashIndex& Relation::EnsureIndex(
@@ -77,7 +62,6 @@ const HashIndex& Relation::EnsureIndex(
   auto it = indexes_.find(c);
   if (it != indexes_.end()) return *it->second;
   auto idx = std::make_unique<HashIndex>(c);
-  idx->ReserveRows(num_rows_);
   for (size_t i = 0; i < num_rows_; ++i) {
     idx->AddRow(TupleAt(i), static_cast<uint32_t>(i));
   }
@@ -121,6 +105,7 @@ Relation Relation::Clone() const {
   Relation copy(arity_);
   copy.data_ = data_;
   copy.num_rows_ = num_rows_;
+  copy.set_ = set_;
   return copy;
 }
 

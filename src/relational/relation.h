@@ -1,6 +1,7 @@
 #ifndef SCALEIN_RELATIONAL_RELATION_H_
 #define SCALEIN_RELATIONAL_RELATION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -37,9 +38,11 @@ struct PositionsPairHash {
 
 /// A finite relation instance: a *set* of tuples of fixed arity (§2).
 ///
-/// Storage is flat row-major; set semantics are enforced by a full-tuple hash
-/// index that is created on first use and maintained incrementally thereafter.
-/// Secondary indexes over arbitrary attribute-position subsets (`EnsureIndex`)
+/// Storage is flat row-major. Set semantics come from an IdTable of row ids
+/// that hashes and compares rows in place in that storage, so a row costs
+/// one 8-byte slot and no copy of its values. Secondary indexes over
+/// arbitrary attribute-position subsets (`EnsureIndex`, including the one on
+/// every position, built on first use like any other)
 /// and projection indexes for embedded access statements
 /// (`EnsureProjectionIndex`) are likewise maintained across inserts/removes,
 /// so applying a small update to a large indexed relation costs O(|update|),
@@ -70,14 +73,22 @@ class Relation {
     return TupleView(data_.data() + i * arity_, arity_);
   }
 
-  /// Pre-sizes row storage for `rows` total tuples. Call before bulk loads
-  /// to avoid repeated reallocation of the flat data array.
-  void Reserve(size_t rows) { data_.reserve(rows * arity_); }
+  /// Pre-sizes row storage and the set table for `rows` total tuples. Call
+  /// before bulk loads to avoid repeated reallocation and rehashing. Growth
+  /// at least doubles the storage, as appending would, so many small
+  /// reserves (one `row` command each) stay amortized O(1) per row.
+  void Reserve(size_t rows) {
+    if (rows * arity_ > data_.capacity()) {
+      data_.reserve(std::max(rows * arity_, 2 * data_.capacity()));
+    }
+    set_.Reserve(rows);
+  }
 
   /// Inserts `t` if not already present; returns true if inserted.
   bool Insert(TupleView t);
 
-  /// Removes `t` if present (swap-remove); returns true if removed.
+  /// Removes `t` if present; returns true if removed. The last row moves into
+  /// the hole, so only that row's id changes.
   bool Remove(TupleView t);
 
   /// Set membership.
@@ -126,11 +137,18 @@ class Relation {
   std::string ToString(size_t max_rows = 20) const;
 
  private:
-  const HashIndex& FullIndex() const;
+  /// The set table's tag for a row, and the row id holding `t` (kNone when
+  /// absent).
+  static uint32_t RowTag(TupleView t) { return IdTable::Tag(HashTuple(t)); }
+  uint32_t FindRow(TupleView t, uint32_t tag) const {
+    return set_.Find(tag,
+                     [&](uint32_t id) { return TupleEquals(TupleAt(id), t); });
+  }
 
   size_t arity_;
   size_t num_rows_ = 0;
   std::vector<Value> data_;
+  IdTable set_;  ///< every row id, placed by the row's content
   // Keyed by canonicalized positions. unique_ptr for pointer stability.
   mutable std::unordered_map<std::vector<size_t>, std::unique_ptr<HashIndex>,
                              PositionsHash>

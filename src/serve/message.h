@@ -1,6 +1,7 @@
 #ifndef SCALEIN_SERVE_MESSAGE_H_
 #define SCALEIN_SERVE_MESSAGE_H_
 
+#include <cstddef>
 #include <string>
 #include <string_view>
 
@@ -18,6 +19,12 @@ namespace scalein::serve {
 /// reject verdict and retry-after hint). Length-prefixing keeps multi-line
 /// response bodies (answer sets, stats output) unambiguous on a stream.
 std::string EncodeFrame(bool ok, std::string_view payload);
+
+/// The most a peer may send without a newline: a protocol line on the serve
+/// port, or an HTTP request head on the metrics port. Past it the port
+/// answers with one error frame and closes that connection, so a client
+/// cannot grow the server's memory without bound.
+inline constexpr size_t kMaxLineBytes = 64 * 1024;
 
 /// Incremental frame parser for the client side: Feed() arbitrary received
 /// chunks, then drain complete frames with Next(). Malformed input (no

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string>
 
+#include "serve/message.h"
 #include "util/failpoint.h"
 
 namespace scalein::serve {
@@ -103,7 +104,7 @@ void MetricsHttp::Serve(int fd) {
   char chunk[2048];
   while (request.find("\r\n\r\n") == std::string::npos &&
          request.find("\n\n") == std::string::npos &&
-         request.size() < 64 * 1024) {
+         request.size() < kMaxLineBytes) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));
     if (n <= 0) break;
     request.append(chunk, static_cast<size_t>(n));

@@ -14,6 +14,24 @@
 #include "util/strings.h"
 
 namespace scalein::serve {
+namespace {
+
+/// Writes all of `frame`; false when the peer is gone.
+bool SendAll(int fd, const std::string& frame) {
+  size_t written = 0;
+  while (written < frame.size()) {
+    // MSG_NOSIGNAL: writing to a peer that already closed fails with EPIPE
+    // and ends this connection, instead of raising SIGPIPE and killing the
+    // whole server.
+    const ssize_t w = ::send(fd, frame.data() + written,
+                             frame.size() - written, MSG_NOSIGNAL);
+    if (w <= 0) return false;
+    written += static_cast<size_t>(w);
+  }
+  return true;
+}
+
+}  // namespace
 
 Port::Port(Server* server, Options options)
     : server_(server), options_(options) {}
@@ -85,6 +103,7 @@ void Port::Serve(int fd, uint64_t conn_id) {
   const std::string sid = StrFormat("conn%llu",
                                     static_cast<unsigned long long>(conn_id));
   std::string pending;
+  size_t scanned = 0;  // bytes of `pending` known to hold no newline
   char chunk[4096];
   bool session_opened = false;
   bool faulted = false;
@@ -99,9 +118,10 @@ void Port::Serve(int fd, uint64_t conn_id) {
     pending.append(chunk, static_cast<size_t>(n));
     size_t nl;
     bool closing = false;
-    while ((nl = pending.find('\n')) != std::string::npos) {
+    while ((nl = pending.find('\n', scanned)) != std::string::npos) {
       std::string line = pending.substr(0, nl);
       pending.erase(0, nl + 1);
+      scanned = 0;
       const std::string_view stripped = StripWhitespace(line);
       Result<std::string> out = server_->HandleLine(sid, stripped);
       if (out.ok() && stripped == "hello") session_opened = true;
@@ -114,20 +134,10 @@ void Port::Serve(int fd, uint64_t conn_id) {
         closing = true;
         break;
       }
-      size_t written = 0;
-      while (written < frame.size()) {
-        // MSG_NOSIGNAL: writing to a peer that already closed fails with
-        // EPIPE and ends this connection, instead of raising SIGPIPE and
-        // killing the whole server.
-        const ssize_t w = ::send(fd, frame.data() + written,
-                                 frame.size() - written, MSG_NOSIGNAL);
-        if (w <= 0) {
-          closing = true;
-          break;
-        }
-        written += static_cast<size_t>(w);
+      if (!SendAll(fd, frame)) {
+        closing = true;
+        break;
       }
-      if (closing) break;
       // The flush phase: the response frame is on the wire. Unstamped (the
       // request's QueryId is not visible at the port layer), but adjacent
       // to the stamped serve-phase lifecycle event in the ring.
@@ -140,6 +150,16 @@ void Port::Serve(int fd, uint64_t conn_id) {
       }
     }
     if (closing) break;
+    scanned = pending.size();
+    if (pending.size() > kMaxLineBytes) {
+      // One framed refusal, then FIN after it, so the peer reads the error
+      // and then end of stream; only this connection closes.
+      const Status refused = Status::InvalidArgument(StrFormat(
+          "line exceeds %zu bytes without a newline", kMaxLineBytes));
+      (void)SendAll(fd, EncodeFrame(false, refused.ToString() + "\n"));
+      ::shutdown(fd, SHUT_WR);
+      break;
+    }
   }
   (void)faulted;
   // Client disconnect is a preemption event: close the session so its

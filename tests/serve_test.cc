@@ -9,6 +9,7 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cstdlib>
@@ -717,6 +718,76 @@ TEST(PortTest, ClientClosingBeforeReadingCostsOnlyItsConnection) {
   EXPECT_TRUE(frames[1].first);
   EXPECT_NE(frames[1].second.find("2 answers"), std::string::npos);
   EXPECT_TRUE(frames[2].first);
+  EXPECT_EQ(port.accepted(), 2u);
+}
+
+// A client that never sends a newline cannot grow the server without bound:
+// past kMaxLineBytes unterminated bytes the port sends one error frame, then
+// end of stream, and closes only that connection. A receive timeout turns a
+// frame that never comes into a failure instead of a hang.
+TEST(PortTest, OversizedLineGetsOneErrorFrameThenEof) {
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  Port port(&server, Port::Options{});
+  Status listening = port.Listen();
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
+  }
+  auto dial = [&port]() {
+    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval timeout{};
+    timeout.tv_sec = 5;
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  };
+  // Reads frames until end of stream (true) or an error or timeout (false).
+  auto read_to_eof = [](int fd,
+                        std::vector<std::pair<bool, std::string>>* frames) {
+    FrameDecoder decoder;
+    char buf[4096];
+    for (;;) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+      if (n <= 0) return n == 0;
+      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      bool ok;
+      std::string payload;
+      while (decoder.Next(&ok, &payload)) frames->emplace_back(ok, payload);
+    }
+  };
+
+  const int flood_fd = dial();
+  const std::string flood(1 << 20, 'x');
+  // The server stops reading past the cap, so this send may end early.
+  (void)::send(flood_fd, flood.data(), flood.size(), MSG_NOSIGNAL);
+  std::vector<std::pair<bool, std::string>> frames;
+  const bool eof = read_to_eof(flood_fd, &frames);
+  ::close(flood_fd);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_FALSE(frames[0].first);
+  EXPECT_NE(frames[0].second.find("without a newline"), std::string::npos)
+      << frames[0].second;
+  EXPECT_TRUE(eof);
+
+  const int fd = dial();
+  const std::string request = "hello\nbye\n";
+  ASSERT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(request.size()));
+  frames.clear();
+  EXPECT_TRUE(read_to_eof(fd, &frames));
+  ::close(fd);
+  port.Shutdown();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_TRUE(frames[0].first);
+  EXPECT_NE(frames[0].second.find("session"), std::string::npos);
   EXPECT_EQ(port.accepted(), 2u);
 }
 

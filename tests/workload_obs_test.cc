@@ -71,6 +71,41 @@ constexpr const char* kFriendQuery =
 // non-controllable at evaluation time.
 constexpr const char* kSecretQuery = "eval a=1 S(a, b) := secret(a, b)";
 
+// The bound-slack gauges are bucket-resolution: each reads the upper edge of
+// the fixed slack bucket that holds the nearest rank. Slack on an edge reads
+// exactly; slack between edges reads as the edge above it.
+TEST(WorkloadAggregatorTest, SlackGaugesReadTheNearestRankBucketEdge) {
+  WorkloadAggregator agg;
+  auto observe = [&agg](double bound, uint64_t actual, bool tripped) {
+    AccessCertificate cert;
+    cert.query_fingerprint = "fp";
+    cert.static_bound = bound;
+    cert.actual_fetches = actual;
+    cert.tripped = tripped;
+    SealCertificate(&cert);
+    agg.Observe(cert, -1, false);
+  };
+  EXPECT_EQ(agg.SlackPercentilePercent(50), 0);  // nothing bounded yet
+  observe(100, 100, false);                      // 100%: an edge
+  for (int i = 0; i < 3; ++i) observe(2550, 967, false);  // 263.7%
+  observe(2550, 1, false);                       // 255,000%
+  observe(-1, 7, false);                         // unbounded: not counted
+  observe(10, 1000, true);                       // tripped: not counted
+
+  MetricsRegistry registry;
+  agg.ExportMetrics(&registry);
+  EXPECT_EQ(registry.GetGauge("workload.bound_slack_p50").value(), 300);
+  EXPECT_EQ(registry.GetGauge("workload.bound_slack_p99").value(), 300000);
+  EXPECT_EQ(agg.SlackPercentilePercent(20), 100);
+  EXPECT_EQ(agg.SlackPercentilePercent(80), 300);
+
+  // Slack past the top edge (10^15 %) reads as the top edge.
+  observe(1e18, 1, false);
+  EXPECT_EQ(agg.SlackPercentilePercent(100), 1000000000000000);
+  agg.Clear();
+  EXPECT_EQ(agg.SlackPercentilePercent(99), 0);
+}
+
 TEST(JournalStoreTest, RoundTripPreservesOrderAndSeals) {
   const std::string path = ::testing::TempDir() + "journal_roundtrip.jsonl";
   RemoveJournalFiles(path);
