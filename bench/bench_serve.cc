@@ -445,6 +445,12 @@ int main(int argc, char** argv) {
   bench::JsonReport report("serve");
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   report.Add("hw_threads", static_cast<uint64_t>(hw));
+  // How many CPUs the host really ran at once, probed before any timed
+  // batch, so a failing timing gate can be read against the host.
+  const double effective_cpus = bench::EffectiveCpus();
+  report.Add("host.effective_cpus", effective_cpus);
+  std::printf("host: %u hardware thread(s), %.2f effective CPU(s)\n", hw,
+              effective_cpus);
 
   // The bench controls its own observability plane: ambient env must not
   // flip the access log on (plain run) or redirect it (instrumented run).

@@ -133,8 +133,8 @@ double MeasureMs(Fn&& fn, double min_ms = 20.0) {
 /// Measured parallelism of this host: a spin loop calibrated to ~40 ms on
 /// one thread is run once alone, then once on every hardware thread at the
 /// same time; returns N * t1 / tN. Unlike hardware_concurrency(), this sees
-/// CPU quotas and busy neighbours, so thread-scaling gates can tell a host
-/// that cannot run N lanes at once from a regression.
+/// CPU quotas and busy neighbours, so a timing gate's failure can be told
+/// apart from a host that could not run its threads at once.
 inline double EffectiveCpus() {
   auto spin = [](uint64_t iters) {
     volatile uint64_t x = 1;  // keeps the loop from being folded away

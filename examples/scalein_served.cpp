@@ -18,14 +18,15 @@
 //   ./build/examples/scalein_served --script catalog.txt < arrivals.txt
 //   — each stdin line is "<session-id> <protocol-line>"; responses print to
 //   stdout. Single-threaded, so for a fixed arrival script the admission
-//   transcript is byte-identical at any SCALEIN_THREADS. The `#busy <n>`
-//   directive models occupied run slots to exercise queue/queue-timeout.
+//   transcript is byte-identical on every run. The `#busy <n>` directive
+//   models occupied run slots to exercise queue/queue-timeout.
 //
 // SLA knobs (all env): SCALEIN_SLA_SESSION_BUDGET, SCALEIN_SLA_SERVER_BUDGET,
 // SCALEIN_SLA_QUERY_DEADLINE_MS, SCALEIN_SLA_ROW_CAP, SCALEIN_SLA_DEGRADE,
 // SCALEIN_SLA_DEGRADE_FLOOR, SCALEIN_SLA_QUEUE_CAP,
 // SCALEIN_SLA_QUEUE_CLASS_CAP, SCALEIN_SLA_QUEUE_TIMEOUT_MS,
-// SCALEIN_SLA_MAX_RUNNING. See docs/usage.md.
+// SCALEIN_SLA_MAX_RUNNING (run slots, default 1: the server's one
+// concurrency setting). See docs/usage.md.
 //
 // Observability plane: SCALEIN_ACCESS_LOG_PATH arms the structured JSONL
 // access log (rotated at SCALEIN_ACCESS_LOG_MAX_BYTES;

@@ -27,15 +27,10 @@ Two modes:
   ``serve.instr.*`` keys (bench_serve) get the same percentage cap (+1 ms
   cushion) on the access-log-armed batch versus the plain batch.
 
-  Sidecars with thread-scaling groups (a ``threads`` leaf, written by
-  bench_parallel_scaling) get three more gates: every fetch-class counter
-  and the Theorem 4.2 ``verdict`` must be byte-identical across thread
-  counts (parallelism must not perturb accounting); the 4-thread batch must
-  run >= 2x faster than 1-thread when the host *measures* >= 4 effective
-  CPUs (``host.effective_cpus``, a calibrated spin probe — a host can report
-  4 hardware threads and still run them on one CPU); and a warm
-  analysis-cache lookup (``cache.warm_analysis_ms``) must be >= 5x cheaper
-  than a cold derivation.
+  Sidecars carrying ``cache.*_analysis_ms`` keys (bench_fig_bounded_q1)
+  get one more gate: a warm analysis-cache lookup
+  (``cache.warm_analysis_ms``) must be >= 5x cheaper than a cold
+  derivation (``cache.cold_analysis_ms``).
 
 Exit status: 0 clean, 1 regression/violation, 2 usage or unreadable input.
 """
@@ -172,7 +167,7 @@ def check_bounds_one(path, overhead_pct):
                 f"access-log instrumentation costs {overhead:.2f}% over the "
                 f"plain batch (need <= {overhead_pct:g}% + 1 ms cushion)")
 
-    failures += check_thread_scaling(metrics, groups)
+    failures += check_analysis_cache(metrics)
     return failures
 
 
@@ -195,62 +190,9 @@ def check_bounds_mode(paths, overhead_pct):
     return 0
 
 
-def check_thread_scaling(metrics, groups):
-    """Gates for sidecars with thread-scaling groups (bench_parallel_scaling).
-
-    Determinism: all fetch-class counters and the recorded verdict must be
-    identical across thread counts. Speedup: 4 threads >= 2x over 1 thread,
-    enforced only when the host measures >= 4 effective CPUs (a host that
-    cannot run 4 lanes at once can verify determinism but not scaling).
-    Cache: warm lookup <= cold / 5.
-    """
+def check_analysis_cache(metrics):
+    """Cache gate (bench_fig_bounded_q1): warm lookup <= cold / 5."""
     failures = []
-    thread_groups = {
-        prefix: leaves for prefix, leaves in groups.items()
-        if as_number(leaves.get("threads")) is not None
-    }
-    if thread_groups:
-        reference_prefix = min(
-            thread_groups, key=lambda p: as_number(thread_groups[p]["threads"]))
-        reference = thread_groups[reference_prefix]
-        for prefix, leaves in sorted(thread_groups.items()):
-            if prefix == reference_prefix:
-                continue
-            for leaf, ref_value in reference.items():
-                if leaf in ("threads", "batch_ms"):
-                    continue
-                if not (is_fetch_key(leaf) or leaf == "verdict"):
-                    continue
-                if leaves.get(leaf) != ref_value:
-                    failures.append(
-                        f"{prefix}.{leaf} = {leaves.get(leaf)!r} differs from "
-                        f"{reference_prefix}.{leaf} = {ref_value!r} — "
-                        f"accounting must not depend on thread count")
-
-        effective = as_number(metrics.get("host.effective_cpus"))
-        by_threads = {
-            int(as_number(leaves["threads"])): leaves
-            for leaves in thread_groups.values()
-        }
-        if effective is None:
-            print("note: sidecar has no host.effective_cpus probe; "
-                  "skipping the parallel-speedup gate")
-        elif effective < 4:
-            print(f"note: host measures {effective:.2f} effective CPU(s) "
-                  f"(host.effective_cpus < 4); skipping the parallel-speedup "
-                  f"gate, which needs 4 lanes that can run at once")
-        elif 1 in by_threads and 4 in by_threads:
-            t1 = as_number(by_threads[1].get("batch_ms"))
-            t4 = as_number(by_threads[4].get("batch_ms"))
-            if t1 and t4:
-                speedup = t1 / t4
-                print(f"parallel speedup at 4 threads: {speedup:.2f}x "
-                      f"(need >= 2x)")
-                if speedup < 2.0:
-                    failures.append(
-                        f"4-thread batch is only {speedup:.2f}x faster than "
-                        f"1-thread (need >= 2x)")
-
     cold = as_number(metrics.get("cache.cold_analysis_ms"))
     warm = as_number(metrics.get("cache.warm_analysis_ms"))
     if cold is not None and warm is not None and warm > 0:
@@ -271,7 +213,7 @@ def main():
                              "files with --check-bounds")
     parser.add_argument("--check-bounds", action="store_true",
                         help="verify static-bound, governor-overhead, and "
-                             "thread-scaling invariants inside each given "
+                             "analysis-cache invariants inside each given "
                              "sidecar, accumulating all violations")
     parser.add_argument("--overhead-pct", type=float, default=3.0,
                         help="max governed-vs-ungoverned overhead percent "

@@ -53,8 +53,8 @@ struct AnalysisCacheStats {
 /// Bounded capacity with LRU eviction. Thread-safe; the analysis itself runs
 /// outside the lock, and concurrent misses on the same key are coalesced
 /// into a single derivation (single-flight): the first caller derives, later
-/// callers wait on the in-flight fill and share its result, so parallel
-/// evaluation lanes never duplicate the §4 DP.
+/// callers wait on the in-flight fill and share its result, so concurrent
+/// sessions never duplicate the §4 DP.
 class AnalysisCache {
  public:
   explicit AnalysisCache(size_t capacity = 64);

@@ -1,14 +1,12 @@
 #include "core/bounded_eval.h"
 
 #include <map>
-#include <optional>
 
 #include "core/approx.h"
 #include "exec/compiler.h"
 #include "exec/vm.h"
 #include "obs/flight_recorder.h"
 #include "obs/trace.h"
-#include "par/worker_pool.h"
 
 namespace scalein {
 namespace {
@@ -35,30 +33,6 @@ Status CheckPlain(const exec::CompiledProgram& program, const Binding& params) {
   return exec::CheckProgramParams(program, params);
 }
 
-/// Runs `fn(i, &stats_i)` for every slot on the global worker pool and
-/// merges the per-slot stats in input order, so results and totals are
-/// identical at any thread count.
-template <typename Fn>
-std::vector<Result<AnswerSet>> RunBatch(size_t n, BoundedEvalStats* stats,
-                                        const Fn& fn) {
-  // Result<T> has no default constructor, so slots are optional and filled
-  // by index.
-  std::vector<std::optional<Result<AnswerSet>>> slots(n);
-  std::vector<BoundedEvalStats> worker_stats(n);
-  const bool capture_ops = stats != nullptr && stats->capture_ops;
-  par::WorkerPool::Global().ParallelFor(n, [&](size_t i) {
-    worker_stats[i].capture_ops = capture_ops;
-    slots[i].emplace(fn(i, &worker_stats[i]));
-  });
-  std::vector<Result<AnswerSet>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (stats != nullptr) stats->Merge(worker_stats[i]);
-    out.push_back(std::move(*slots[i]));
-  }
-  return out;
-}
-
 }  // namespace
 
 Result<AnswerSet> BoundedEvaluator::Evaluate(
@@ -77,9 +51,6 @@ Result<AnswerSet> BoundedEvaluator::Evaluate(
   ctx.set_limits(limits_);  // per-evaluation resource envelope
   ctx.set_timing_enabled(collect_timing_);
   obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate", "core");
-  if (span.enabled() && par::CurrentLane() >= 0) {
-    span.Arg("worker", static_cast<uint64_t>(par::CurrentLane()));
-  }
   exec::PlainRows rows;
   exec::RunPlain(program, *db_, enforce_bounds_, params,
                  collect_timing_ || (stats != nullptr && stats->capture_ops),
@@ -158,7 +129,7 @@ Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
   // rather than unchecked ones). Projection runs before the trip check
   // because the output-row cap trips *here*: the first cap distinct answers
   // are kept and the tripping answer is withdrawn, so a row-capped degraded
-  // result is identical at any thread count.
+  // result is the same on every run.
   exec::EmitPlainAnswers(program, rows, &ctx, &out.value);
   out.base_tuples_fetched = ctx.base_tuples_fetched();
   out.index_lookups = ctx.index_lookups();
@@ -172,62 +143,14 @@ Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
   return out;
 }
 
-std::vector<Result<AnswerSet>> BoundedEvaluator::EvaluateBatch(
-    const FoQuery& q, const ControllabilityAnalysis& analysis,
-    const std::vector<Binding>& batch, BoundedEvalStats* stats) const {
-  // One program per distinct parameter set (mixed batches compile each),
-  // compiled and index-prebuilt up front so worker lanes never race on
-  // Ensure*'s cache fill.
-  std::map<VarSet, ProgramOrError> programs;
-  std::vector<const ProgramOrError*> slot_program;
-  slot_program.reserve(batch.size());
-  for (const Binding& b : batch) {
-    const VarSet vars = BoundVariables(b);
-    auto it = programs.find(vars);
-    if (it == programs.end()) {
-      it = programs.emplace(vars, CompileFor(q, analysis, b)).first;
-      if (it->second.ok()) exec::PrebuildCompiledIndexes(*db_, **it->second);
-    }
-    slot_program.push_back(&it->second);
-  }
-  return RunBatch(batch.size(), stats,
-                  [&](size_t i, BoundedEvalStats* slot_stats) {
-                    const ProgramOrError& program = *slot_program[i];
-                    if (!program.ok()) {
-                      return Result<AnswerSet>(program.status());
-                    }
-                    return Evaluate(**program, batch[i], slot_stats);
-                  });
-}
-
 Result<AnswerSet> BoundedEvaluator::EvaluateEmbedded(
     const EmbeddedCqAnalysis& analysis, const Binding& params,
     BoundedEvalStats* stats) const {
-  return EvaluateEmbedded(exec::CompileEmbedded(Borrow(analysis)), params,
-                          stats);
-}
-
-std::vector<Result<AnswerSet>> BoundedEvaluator::EvaluateEmbeddedBatch(
-    const EmbeddedCqAnalysis& analysis, const std::vector<Binding>& batch,
-    BoundedEvalStats* stats) const {
   const ProgramOrError program = exec::CompileEmbedded(Borrow(analysis));
-  if (program.ok()) exec::PrebuildCompiledIndexes(*db_, **program);
-  return RunBatch(batch.size(), stats,
-                  [&](size_t i, BoundedEvalStats* slot_stats) {
-                    return EvaluateEmbedded(program, batch[i], slot_stats);
-                  });
-}
-
-Result<AnswerSet> BoundedEvaluator::EvaluateEmbedded(
-    const ProgramOrError& program, const Binding& params,
-    BoundedEvalStats* stats) const {
   exec::ExecContext ctx(db_);
   ctx.set_limits(limits_);  // per-evaluation resource envelope
   ctx.set_timing_enabled(collect_timing_);
   obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate_embedded", "core");
-  if (span.enabled() && par::CurrentLane() >= 0) {
-    span.Arg("worker", static_cast<uint64_t>(par::CurrentLane()));
-  }
   Result<AnswerSet> result =
       RunEmbedded(program, params,
                   collect_timing_ || (stats != nullptr && stats->capture_ops),

@@ -48,20 +48,6 @@ struct BoundedEvalStats {
     fetched_by_relation[relation] += tuples;
   }
 
-  /// Folds another stats object into this one (batch evaluation merges
-  /// per-worker stats in input order, so totals are identical to a
-  /// sequential run). The most recent static bound wins, matching how a
-  /// sequential loop of evaluations would leave `static_bound`.
-  void Merge(const BoundedEvalStats& other) {
-    base_tuples_fetched += other.base_tuples_fetched;
-    index_lookups += other.index_lookups;
-    for (const auto& [name, n] : other.fetched_by_relation) {
-      fetched_by_relation[name] += n;
-    }
-    if (capture_ops) ops.insert(ops.end(), other.ops.begin(), other.ops.end());
-    if (other.static_bound >= 0) static_bound = other.static_bound;
-  }
-
   /// Folds one finished evaluation's context counters into this object.
   void Accumulate(const exec::ExecContext& ctx) {
     base_tuples_fetched += ctx.base_tuples_fetched();
@@ -91,8 +77,8 @@ struct CompiledProgram;
 /// exec/compiler.h first (a few µs); callers that cache programs (the shell
 /// and server, through the analysis cache's CompiledPlanSet) pass the
 /// program instead. Each evaluation is one sequential walk on the calling
-/// thread; parallelism runs across evaluations (EvaluateBatch, serve run
-/// slots), never inside one.
+/// thread; concurrency comes only from separate callers (the server's run
+/// slots), never from inside one evaluation.
 class BoundedEvaluator {
  public:
   /// `db` is mutable only because indexes build on demand; content is never
@@ -150,29 +136,12 @@ class BoundedEvaluator {
       const exec::CompiledProgram& program, const Binding& params,
       BoundedEvalStats* stats = nullptr) const;
 
-  /// Evaluates Q(ā_i, ·) for every parameter binding in `batch`, fanning the
-  /// independent evaluations out as morsels on the global worker pool
-  /// (src/par). One program per distinct parameter set is compiled, and its
-  /// indexes prebuilt, before the fan-out, so workers only read. Results are
-  /// in input order; each slot is the exact Result a sequential Evaluate
-  /// call would produce, and `stats` (merged in input order) carries
-  /// byte-identical totals regardless of thread count.
-  std::vector<Result<AnswerSet>> EvaluateBatch(
-      const FoQuery& q, const ControllabilityAnalysis& analysis,
-      const std::vector<Binding>& batch,
-      BoundedEvalStats* stats = nullptr) const;
-
   /// Evaluates an embedded-controllability plan (Proposition 4.5) for a CQ.
   /// `params` must bind exactly the variables the analysis was built with.
   /// Answers range over head positions whose term is an unbound variable.
   Result<AnswerSet> EvaluateEmbedded(const EmbeddedCqAnalysis& analysis,
                                      const Binding& params,
                                      BoundedEvalStats* stats = nullptr) const;
-
-  /// Batch counterpart of EvaluateEmbedded; same contract as EvaluateBatch.
-  std::vector<Result<AnswerSet>> EvaluateEmbeddedBatch(
-      const EmbeddedCqAnalysis& analysis, const std::vector<Binding>& batch,
-      BoundedEvalStats* stats = nullptr) const;
 
   /// Degradation-aware embedded evaluation. On a governor trip, when
   /// `fallback_to_approx` is set and a fetch budget is armed, the greedy
@@ -186,9 +155,6 @@ class BoundedEvaluator {
  private:
   using ProgramOrError = Result<std::shared_ptr<const exec::CompiledProgram>>;
 
-  Result<AnswerSet> EvaluateEmbedded(const ProgramOrError& program,
-                                     const Binding& params,
-                                     BoundedEvalStats* stats) const;
   Result<AnswerSet> RunEmbedded(const ProgramOrError& program,
                                 const Binding& params, bool register_ops,
                                 exec::ExecContext* ctx) const;

@@ -149,13 +149,6 @@ struct OpProto {
   double static_bound = -1.0;
 };
 
-/// An index the plan can probe, prebuilt before any parallel section
-/// (Ensure* is a const-but-mutating cache fill).
-struct PrebuildIndex {
-  uint32_t relation = 0;
-  std::vector<size_t> positions;  ///< canonical hash-index key
-};
-
 /// A bounded plan lowered to register bytecode: everything the VM
 /// (exec/vm.h) needs to execute the derivation. Immutable once built; shared
 /// across sessions via the AnalysisCache entry it is attached to. Pointers
@@ -172,7 +165,6 @@ struct CompiledProgram {
   VarSet params;  ///< the parameter set the program was compiled for
   std::vector<std::pair<Variable, Reg>> param_regs;  ///< seed from the binding
   double static_bound = 0;  ///< the derivation's Theorem 4.2 / Prop 4.5 M
-  std::vector<PrebuildIndex> prebuilds;  ///< hash indexes (plain leaves)
   std::vector<Reg> head_regs;  ///< open head variables in head order
 
   // --- plain ---

@@ -216,9 +216,6 @@ class PlainLowering {
       }
       out->key.push_back(s);
     }
-    if (!out->full_scan) {
-      p_->prebuilds.push_back({out->relation, out->key_positions});
-    }
 
     // New variables in variable-id order fix the local slots, so sorting
     // the local chunks reproduces the extension set's order.

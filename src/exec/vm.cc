@@ -720,23 +720,4 @@ Result<AnswerSet> RunEmbedded(const CompiledProgram& program,
   return answers;
 }
 
-void PrebuildCompiledIndexes(const Database& db,
-                             const CompiledProgram& program) {
-  if (program.kind == CompiledProgram::Kind::kPlain) {
-    for (const PrebuildIndex& pb : program.prebuilds) {
-      const Relation* rel = db.FindRelation(program.relations[pb.relation]);
-      if (rel != nullptr) rel->EnsureIndex(pb.positions);
-    }
-    return;
-  }
-  for (const AtomCode& ac : program.atoms) {
-    const Relation* rel = db.FindRelation(program.relations[ac.relation]);
-    if (rel == nullptr) continue;
-    for (const ChaseStepCode& step : ac.steps) {
-      rel->EnsureProjectionIndex(step.key_positions, step.value_positions);
-    }
-    if (ac.needs_verification) rel->EnsureIndex(ac.verify_positions);
-  }
-}
-
 }  // namespace scalein::exec

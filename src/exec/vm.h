@@ -60,11 +60,6 @@ Result<AnswerSet> RunEmbedded(const CompiledProgram& program,
                               const Binding& params, bool register_ops,
                               ExecContext* ctx);
 
-/// Builds every index `program` can probe (plain leaves or embedded chase
-/// steps + verification), so the lanes of a batch only ever find them.
-void PrebuildCompiledIndexes(const Database& db,
-                             const CompiledProgram& program);
-
 /// There is one bounded evaluator; this name is kept for callers that run
 /// compiled programs through it.
 using CompiledEvaluator = ::scalein::BoundedEvaluator;

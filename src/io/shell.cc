@@ -9,7 +9,6 @@
 #include "io/catalog.h"
 #include "obs/explain.h"
 #include "obs/trace.h"
-#include "par/worker_pool.h"
 #include "query/parser.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
@@ -155,8 +154,6 @@ std::string Shell::HelpText() {
       "  explain qdsi <M> <cq-rule> | explain analyze <fo-query>\n"
       "  qdsi <M> Q(x) :- <CQ body>\n"
       "  limit [fetch=N] [deadline=MS] [rows=N] | limit off\n"
-      "  threads [N]    show or resize the worker pool (batch lanes, server\n"
-      "                 run slots)\n"
       "  stats [prom] | stats watch <secs> [path] | stats watch off\n"
       "  journal        list this session's access certificates\n"
       "  certify        re-verify every certificate offline\n"
@@ -291,8 +288,6 @@ Result<std::string> Shell::ExecuteImpl(const std::string& command,
 
   if (command == "certify") return RunCertify(rest);
 
-  if (command == "threads") return RunThreads(rest);
-
   if (command == "dump") return RunDump(rest);
 
   if (command == "slowlog") return RunSlowlog(rest);
@@ -415,9 +410,7 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
       evaluator.EvaluateDegraded(*program, plan.params, &stats));
   const double elapsed_ms =
       static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  metrics_
-      ->GetHistogram("shell.eval_latency_ms", obs::DefaultLatencyBucketsMs())
-      .Observe(elapsed_ms);
+  metrics_->GetHistogram("shell.eval_latency_ms").Observe(elapsed_ms);
   metrics_->GetCounter("shell.queries").Increment();
   metrics_->GetCounter("shell.base_tuples_fetched")
       .Increment(stats.base_tuples_fetched);
@@ -697,19 +690,6 @@ Result<std::string> Shell::RunCertify(std::string_view rest) const {
                             out);
   }
   return out;
-}
-
-Result<std::string> Shell::RunThreads(std::string_view rest) {
-  par::WorkerPool& pool = par::WorkerPool::Global();
-  const std::string arg(StripWhitespace(rest));
-  if (!arg.empty()) {
-    SI_ASSIGN_OR_RETURN(uint64_t n, ParseInteger<uint64_t>(arg));
-    if (n < 1) n = 1;
-    if (n > 64) n = 64;
-    pool.Resize(static_cast<size_t>(n));
-    metrics_->GetGauge("shell.threads").Set(static_cast<int64_t>(n));
-  }
-  return StrFormat("%zu thread(s)\n", pool.threads());
 }
 
 Result<std::string> Shell::RunDump(std::string_view rest) const {

@@ -86,7 +86,6 @@ struct ServeEvalOutcome {
 ///   explain qdsi <M> Q(x) :- <CQ body> | explain analyze <fo-query>
 ///   qdsi <M> Q(x) :- <CQ body>
 ///   limit [fetch=N] [deadline=MS] [rows=N] | limit off
-///   threads [N]    size the worker pool (batch lanes, server run slots)
 ///   stats [prom] | stats watch <secs> [path] | stats watch off
 ///   journal | certify [dump.json|journal.jsonl] | dump [path]
 ///   slowlog [<ms>|off] | workload [top K | fingerprint <fp>]
@@ -215,8 +214,6 @@ class Shell {
   Result<std::string> RunCertify(std::string_view rest) const;
   Result<std::string> RunDump(std::string_view rest) const;
   Result<std::string> RunSlowlog(std::string_view rest);
-  /// `threads [N]`: show or resize the global morsel worker pool.
-  Result<std::string> RunThreads(std::string_view rest);
   /// `workload [top K | fingerprint <fp>]`: per-fingerprint telemetry.
   Result<std::string> RunWorkload(std::string_view rest) const;
 

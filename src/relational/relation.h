@@ -50,8 +50,7 @@ struct PositionsPairHash {
 ///
 /// Thread-safety: all mutating members (including the const-but-caching
 /// Ensure* index builders) require exclusive access. Concurrent readers are
-/// safe once the indexes they probe exist — batch evaluation prebuilds every
-/// index its plans name before fanning out, and the server builds every
+/// safe once the indexes they probe exist; the server builds every
 /// access-schema index before it accepts queries.
 class Relation {
  public:

@@ -12,9 +12,8 @@ namespace {
 /// Process-wide append-only string pool. Leaked intentionally: static storage
 /// objects must be trivially destructible, so we hold it by pointer.
 ///
-/// Thread-safe since the morsel-parallel execution layer landed: worker lanes
-/// compare/render string values (shared lock) while loaders may intern new
-/// ones (exclusive lock). Strings live in a deque so the references handed
+/// Thread-safe: concurrent evaluations compare/render string values (shared
+/// lock) while loaders may intern new ones (exclusive lock). Strings live in a deque so the references handed
 /// out by Lookup stay stable across later interning.
 class StringInterner {
  public:

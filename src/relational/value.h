@@ -17,8 +17,8 @@ namespace scalein {
 /// payloads are ids into a process-wide interner, so equality never touches
 /// character data. The interner is append-only and leaked at shutdown
 /// (Google-style static storage); it takes a shared lock on reads and an
-/// exclusive lock on interning, so worker-pool lanes (src/par) can compare
-/// and render values concurrently with loads.
+/// exclusive lock on interning, so concurrent server evaluations can compare
+/// and render values while another thread interns.
 class Value {
  public:
   enum class Kind : uint8_t { kInt = 0, kString = 1 };

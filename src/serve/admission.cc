@@ -108,7 +108,7 @@ std::string SlaConfig::ToString() const {
       allow_degrade ? "on" : "off",
       static_cast<unsigned long long>(degrade_floor), queue_capacity,
       queue_class_capacity, static_cast<unsigned long long>(queue_timeout_ms),
-      max_running);
+      RunSlots());
 }
 
 std::string AdmissionDecision::ToString() const {
@@ -187,8 +187,7 @@ AdmissionDecision DecideAdmission(const AdmissionInput& in,
   // same slots as full admits: concurrency stays bounded under overload, and
   // a queued caller is re-decided against fresh budget state when its slot
   // frees (so a queued admit can still become a degrade, and vice versa).
-  const size_t max_running = config.max_running == 0 ? 1 : config.max_running;
-  if (in.running < max_running) {
+  if (in.running < config.RunSlots()) {
     if (fits) {
       d.action = AdmitAction::kAdmit;
       d.sub_budget = in.budget_unlimited ? 0 : need;

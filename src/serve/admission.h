@@ -69,8 +69,11 @@ struct SlaConfig {
   size_t queue_capacity = 64;        ///< bounded FIFO across all classes
   size_t queue_class_capacity = 16;  ///< per-BoundClass share of the FIFO
   uint64_t queue_timeout_ms = 100;   ///< max queue wait before shedding
-  /// Concurrent run slots; 0 = worker-pool width at server start.
-  size_t max_running = 0;
+  /// Concurrent run slots: how many admitted queries evaluate at once, each
+  /// on its caller's thread. The server's one concurrency setting.
+  size_t max_running = 1;
+  /// `max_running` with 0 read as 1.
+  size_t RunSlots() const { return max_running == 0 ? 1 : max_running; }
 
   /// Reads SCALEIN_SLA_SESSION_BUDGET, SCALEIN_SLA_SERVER_BUDGET,
   /// SCALEIN_SLA_QUERY_DEADLINE_MS, SCALEIN_SLA_ROW_CAP,
@@ -84,8 +87,8 @@ struct SlaConfig {
 };
 
 /// Everything the admission decision may depend on — captured explicitly so
-/// the decision is a pure function and therefore byte-identical across
-/// thread counts for a fixed arrival script (the determinism contract the
+/// the decision is a pure function and therefore byte-identical for a fixed
+/// arrival script, whatever threads deliver it (the determinism contract the
 /// serve tests pin down).
 struct AdmissionInput {
   double static_bound = -1.0;    ///< Theorem 4.2 bound; < 0 = none derived

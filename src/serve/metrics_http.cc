@@ -1,82 +1,21 @@
 #include "serve/metrics_http.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cerrno>
-#include <cstring>
 #include <string>
+#include <utility>
 
 #include "serve/message.h"
-#include "util/failpoint.h"
 
 namespace scalein::serve {
 
 MetricsHttp::MetricsHttp(obs::MetricsRegistry* registry,
                          std::function<bool()> draining, Options options)
-    : registry_(registry), draining_(std::move(draining)), options_(options) {}
-
-MetricsHttp::~MetricsHttp() { Shutdown(); }
-
-Status MetricsHttp::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("bind: " + err);
-  }
-  if (::listen(listen_fd_, 16) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("listen: " + err);
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void MetricsHttp::AcceptLoop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (errno == EINTR) continue;
-      break;  // listener closed or broken: stop accepting
-    }
-    if (!SCALEIN_FAILPOINT("serve_http").ok()) {
-      // Injected scrape fault: this connection is the blast radius —
-      // count it, drop it, keep answering everyone else.
-      registry_->GetCounter("serve.io_faults").Increment();
-      ::close(fd);
-      continue;
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    live_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd] { Serve(fd); });
-  }
-}
+    : registry_(registry),
+      draining_(std::move(draining)),
+      listener_({options.port, /*backlog=*/16, "serve_http"}, registry,
+                [this](int fd, uint64_t) { Serve(fd); }) {}
 
 namespace {
 
@@ -148,30 +87,6 @@ void MetricsHttp::Serve(int fd) {
     if (w <= 0) break;
     written += static_cast<size_t>(w);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_fds_.erase(fd) != 0) ::close(fd);
-}
-
-void MetricsHttp::Shutdown() {
-  if (stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  listen_fd_ = -1;
 }
 
 }  // namespace scalein::serve

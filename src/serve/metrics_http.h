@@ -4,12 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <mutex>
-#include <set>
-#include <thread>
-#include <vector>
 
 #include "obs/metrics.h"
+#include "serve/listener.h"
 #include "util/status.h"
 
 namespace scalein::serve {
@@ -25,10 +22,10 @@ namespace scalein::serve {
 ///
 /// Anything else is a 404. One request per connection (`Connection: close`),
 /// which keeps the parser to "read until blank line, look at the first
-/// line". Same lifecycle and blast-radius contract as serve::Port: one
-/// accept thread, one short-lived thread per connection, a `serve_http`
-/// failpoint whose injected faults count serve.io_faults and drop only
-/// that connection.
+/// line". Same lifecycle and blast-radius contract as serve::Port, through
+/// the same serve::Listener: one accept thread, one short-lived thread per
+/// connection, a `serve_http` failpoint whose injected faults count
+/// serve.io_faults and drop only that connection.
 class MetricsHttp {
  public:
   struct Options {
@@ -39,38 +36,29 @@ class MetricsHttp {
   /// request; pass the server's draining() so health flips with drain.
   MetricsHttp(obs::MetricsRegistry* registry, std::function<bool()> draining,
               Options options);
-  ~MetricsHttp();
   MetricsHttp(const MetricsHttp&) = delete;
   MetricsHttp& operator=(const MetricsHttp&) = delete;
 
   /// Binds 127.0.0.1:<port>, listens, and spawns the accept loop.
-  Status Listen();
+  Status Listen() { return listener_.Listen(); }
 
   /// The bound port (after Listen; ephemeral requests resolve here).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Closes the listener and every live connection, then joins all
   /// threads. Idempotent; called by the destructor.
-  void Shutdown();
+  void Shutdown() { listener_.Shutdown(); }
 
   /// Requests answered (any route) over the endpoint's lifetime.
   uint64_t scrapes() const { return scrapes_.load(std::memory_order_relaxed); }
 
  private:
-  void AcceptLoop();
   void Serve(int fd);
 
   obs::MetricsRegistry* const registry_;
   const std::function<bool()> draining_;
-  Options options_;
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
   std::atomic<uint64_t> scrapes_{0};
-  std::thread accept_thread_;
-  std::mutex mu_;
-  std::vector<std::thread> conn_threads_;
-  std::set<int> live_fds_;
+  Listener listener_;  ///< last: its destructor joins Serve's threads first
 };
 
 }  // namespace scalein::serve

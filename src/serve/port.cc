@@ -1,12 +1,7 @@
 #include "serve/port.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 
 #include "obs/flight_recorder.h"
 #include "serve/message.h"
@@ -34,70 +29,10 @@ bool SendAll(int fd, const std::string& frame) {
 }  // namespace
 
 Port::Port(Server* server, Options options)
-    : server_(server), options_(options) {}
-
-Port::~Port() { Shutdown(); }
-
-Status Port::Listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(std::string("socket: ") + std::strerror(errno));
-  }
-  int one = 1;
-  (void)::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("bind: " + err);
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    const std::string err = std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal("listen: " + err);
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) ==
-      0) {
-    port_ = ntohs(addr.sin_port);
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::OK();
-}
-
-void Port::AcceptLoop() {
-  uint64_t next_conn = 0;
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (stopping_.load(std::memory_order_relaxed)) break;
-      if (errno == EINTR) continue;
-      break;  // listener closed or broken: stop accepting
-    }
-    if (!SCALEIN_FAILPOINT("serve_accept").ok()) {
-      // Injected accept fault: this connection is the blast radius —
-      // count it, drop it, keep serving everyone else.
-      server_->shell_metrics()->GetCounter("serve.io_faults").Increment();
-      ::close(fd);
-      continue;
-    }
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t conn_id = ++next_conn;
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_.load(std::memory_order_relaxed)) {
-      ::close(fd);
-      break;
-    }
-    live_fds_.insert(fd);
-    conn_threads_.emplace_back([this, fd, conn_id] { Serve(fd, conn_id); });
-  }
-}
+    : server_(server),
+      listener_({options.port, /*backlog=*/64, "serve_accept"},
+                server->shell_metrics(),
+                [this](int fd, uint64_t conn_id) { Serve(fd, conn_id); }) {}
 
 void Port::Serve(int fd, uint64_t conn_id) {
   const std::string sid = StrFormat("conn%llu",
@@ -107,7 +42,7 @@ void Port::Serve(int fd, uint64_t conn_id) {
   char chunk[4096];
   bool session_opened = false;
   bool faulted = false;
-  while (!stopping_.load(std::memory_order_relaxed)) {
+  while (!listener_.stopping()) {
     if (!SCALEIN_FAILPOINT("serve_read").ok()) {
       server_->shell_metrics()->GetCounter("serve.io_faults").Increment();
       faulted = true;
@@ -165,32 +100,6 @@ void Port::Serve(int fd, uint64_t conn_id) {
   // Client disconnect is a preemption event: close the session so its
   // envelope's cancellation token stops any still-running evaluation.
   if (session_opened) (void)server_->CloseSession(sid);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (live_fds_.erase(fd) != 0) ::close(fd);
-}
-
-void Port::CloseAll() {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
-}
-
-void Port::Shutdown() {
-  if (stopping_.exchange(true)) return;
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-  }
-  CloseAll();
-  if (accept_thread_.joinable()) accept_thread_.join();
-  std::vector<std::thread> threads;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    threads.swap(conn_threads_);
-  }
-  for (std::thread& t : threads) {
-    if (t.joinable()) t.join();
-  }
-  listen_fd_ = -1;
 }
 
 }  // namespace scalein::serve

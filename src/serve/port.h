@@ -1,20 +1,17 @@
 #ifndef SCALEIN_SERVE_PORT_H_
 #define SCALEIN_SERVE_PORT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
-#include <set>
-#include <thread>
-#include <vector>
 
+#include "serve/listener.h"
 #include "serve/server.h"
 #include "util/status.h"
 
 namespace scalein::serve {
 
 /// The TCP front door: accepts connections on a loopback port and pumps
-/// each one through Server::HandleLine — one OS thread per connection, so
+/// each one through Server::HandleLine — one OS thread per connection
+/// (serve/listener.h accepts, tracks and reaps them), so
 /// admitted queries of different connections run in parallel up to the
 /// server's run slots (connection threads otherwise block on the socket or
 /// in the admission queue). Requests are newline-terminated lines,
@@ -33,40 +30,27 @@ class Port {
 
   /// `server` must be Start()ed and outlive the port.
   Port(Server* server, Options options);
-  ~Port();
   Port(const Port&) = delete;
   Port& operator=(const Port&) = delete;
 
   /// Binds 127.0.0.1:<port>, listens, and spawns the accept loop.
-  Status Listen();
+  Status Listen() { return listener_.Listen(); }
 
   /// The bound port (after Listen; ephemeral requests resolve here).
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return listener_.port(); }
 
   /// Closes the listener and every live connection, then joins all
   /// threads. Idempotent; called by the destructor.
-  void Shutdown();
+  void Shutdown() { listener_.Shutdown(); }
 
   /// Connections accepted over the port's lifetime.
-  uint64_t accepted() const {
-    return accepted_.load(std::memory_order_relaxed);
-  }
+  uint64_t accepted() const { return listener_.accepted(); }
 
  private:
-  void AcceptLoop();
   void Serve(int fd, uint64_t conn_id);
-  void CloseAll();
 
   Server* const server_;
-  Options options_;
-  uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  std::atomic<bool> stopping_{false};
-  std::atomic<uint64_t> accepted_{0};
-  std::thread accept_thread_;
-  std::mutex mu_;
-  std::vector<std::thread> conn_threads_;
-  std::set<int> live_fds_;
+  Listener listener_;  ///< last: its destructor joins Serve's threads first
 };
 
 }  // namespace scalein::serve

@@ -7,7 +7,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/json.h"
 #include "obs/trace.h"
-#include "par/worker_pool.h"
 #include "util/failpoint.h"
 #include "util/strings.h"
 
@@ -72,10 +71,6 @@ Server::~Server() { Drain(); }
 
 Status Server::Start() {
   SI_RETURN_IF_ERROR(shell_->PrepareServe());
-  max_running_ = options_.sla.max_running != 0
-                     ? options_.sla.max_running
-                     : par::WorkerPool::Global().threads();
-  if (max_running_ == 0) max_running_ = 1;
   if (options_.sla.server_fetch_capacity > 0) {
     ledger_.Init(options_.sla.server_fetch_capacity);
   }
@@ -246,18 +241,10 @@ std::string Server::EmitLifecycle(const obs::QueryId& qid,
 
   // Per-class SLO histograms — the series the scrape endpoint exposes as
   // serve_queue_wait_ms_<class>_bucket etc.
-  metrics_
-      ->GetHistogram("serve.queue_wait_ms." + cls_name,
-                     obs::DefaultLatencyBucketsMs())
+  metrics_->GetHistogram("serve.queue_wait_ms." + cls_name)
       .Observe(queue_wait_ms);
-  metrics_
-      ->GetHistogram("serve.exec_ms." + cls_name,
-                     obs::DefaultLatencyBucketsMs())
-      .Observe(exec_ms);
-  metrics_
-      ->GetHistogram("serve.e2e_ms." + cls_name,
-                     obs::DefaultLatencyBucketsMs())
-      .Observe(e2e_ms);
+  metrics_->GetHistogram("serve.exec_ms." + cls_name).Observe(exec_ms);
+  metrics_->GetHistogram("serve.e2e_ms." + cls_name).Observe(e2e_ms);
   if (shed) metrics_->GetCounter("serve.shed." + cls_name).Increment();
 
   std::string warnings;
@@ -420,9 +407,7 @@ Result<std::string> Server::Submit(const std::string& sid,
   in.draining = draining_;
   AdmissionDecision decision = DecideAdmission(in, options_.sla);
   t.decided_ns = obs::MonotonicNowNs();
-  metrics_
-      ->GetHistogram("serve.admission_latency_ms",
-                     obs::DefaultLatencyBucketsMs())
+  metrics_->GetHistogram("serve.admission_latency_ms")
       .Observe(static_cast<double>(t.decided_ns - t.arrive_ns) / 1e6);
   CountDecision(decision);
 
@@ -444,7 +429,7 @@ Result<std::string> Server::Submit(const std::string& sid,
         lock, std::chrono::milliseconds(options_.sla.queue_timeout_ms), [&] {
           return draining_ || (!queue_.empty() &&
                                queue_.front().id == ticket.id &&
-                               EffectiveRunning() < max_running_);
+                               EffectiveRunning() < options_.sla.RunSlots());
         });
     t.queue_exit_ns = obs::MonotonicNowNs();
     // Leave the queue whatever happened (on admit we were at the front).

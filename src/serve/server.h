@@ -59,8 +59,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Freezes the shell catalog (PrepareServe), resolves run slots (SLA
-  /// max_running, default worker-pool width), and arms the server-wide
+  /// Freezes the shell catalog (PrepareServe) and arms the server-wide
   /// fetch ledger when the SLA carries a server capacity.
   Status Start();
 
@@ -168,7 +167,6 @@ class Server {
   exec::SharedLedger ledger_;  ///< server-wide fetch capacity (may stay
                                ///< unlimited)
   std::unique_ptr<AccessLog> access_log_;  ///< null = disabled
-  size_t max_running_ = 1;
   bool started_ = false;
 
   mutable std::mutex mu_;

@@ -18,6 +18,7 @@
 #include <random>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/bounded_eval.h"
@@ -30,7 +31,6 @@
 #include "exec/operators.h"
 #include "exec/planner.h"
 #include "incremental/maintainer.h"
-#include "par/worker_pool.h"
 #include "query/parser.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -335,9 +335,9 @@ TEST(ChaosTest, ViewExecutionSurvivesSchedules) {
 }
 
 TEST(ChaosTest, ConcurrentUpdatesVersusQueriesKeepAccountingExact) {
-  // Storm schedule for the morsel-parallel layer: reader tasks evaluate
-  // bounded Q1 on the worker pool under a shared lock while writer tasks
-  // mutate `friend` under the exclusive lock. Relation is not reader-safe
+  // Storm schedule: reader tasks evaluate bounded Q1 on four threads under
+  // a shared lock while writer tasks mutate `friend` under the exclusive
+  // lock. Relation is not reader-safe
   // during mutation, so the readers/writers contract *is* the lock — this
   // test (run under TSan in CI) pins down that the library side (interner,
   // metered probes, per-context accounting) is race-free under it.
@@ -367,15 +367,14 @@ TEST(ChaosTest, ConcurrentUpdatesVersusQueriesKeepAccountingExact) {
   // Writers insert disjoint fresh tuples, so the final state is independent
   // of interleaving: initial + every written tuple.
   std::vector<Tuple> written(kTasks);
-  par::WorkerPool pool(4);
-  pool.ParallelFor(kTasks, [&](size_t i) {
-    if (i % 4 == 0) {  // writer lane
+  auto run_task = [&](size_t i) {
+    if (i % 4 == 0) {  // writer task
       Tuple t{Value::Int(static_cast<int64_t>(1000 + i)),
               Value::Int(static_cast<int64_t>(2000 + i))};
       std::unique_lock<std::shared_mutex> lock(db_mu);
       social.db.relation("friend").Insert(t);
       written[i] = std::move(t);
-    } else {  // reader lane
+    } else {  // reader task
       Binding params{{V("p"), Value::Int(static_cast<int64_t>(i % 40))}};
       std::shared_lock<std::shared_mutex> lock(db_mu);
       BoundedEvalStats stats;
@@ -386,7 +385,16 @@ TEST(ChaosTest, ConcurrentUpdatesVersusQueriesKeepAccountingExact) {
         answers_seen.fetch_add(r->size(), std::memory_order_relaxed);
       }
     }
-  });
+  };
+  // Each thread claims the next unclaimed task, so reads and writes mix.
+  std::atomic<size_t> next_task{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (size_t i; (i = next_task.fetch_add(1)) < kTasks;) run_task(i);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
   for (size_t i = 0; i < kTasks; ++i) {
     EXPECT_TRUE(reader_status[i].ok())
         << i << ": " << reader_status[i].ToString();

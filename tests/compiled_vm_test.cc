@@ -3,7 +3,7 @@
 // answer digest, tuples fetched, index lookups, per-relation fetches, the
 // trip record and the digest of the sealed CertificatePayload. The corpus was
 // recorded from the interpreted derivation walk the register VM replaced;
-// every line must reproduce byte for byte at 1 and 4 worker threads.
+// every line must reproduce byte for byte.
 //
 // Variable ids follow interning order, and binding-set order (and so the
 // point where a limit trips) follows the ids. The corpus therefore runs in
@@ -27,7 +27,6 @@
 #include "eval/answer_set.h"
 #include "obs/flight_recorder.h"
 #include "obs/journal.h"
-#include "par/worker_pool.h"
 #include "query/parser.h"
 #include "util/failpoint.h"
 #include "util/rng.h"
@@ -150,14 +149,17 @@ class Corpus {
                     " " + StatsText(stats));
   }
 
+  // A batch line is a loop of evaluations folding into one stats object.
   void Batch(const std::string& name, const FoQuery& q,
              const ControllabilityAnalysis& analysis, Database* db,
              const std::vector<Binding>& batch) {
     BoundedEvaluator evaluator(db);
     BoundedEvalStats stats;
     stats.capture_ops = true;
-    std::vector<Result<AnswerSet>> out =
-        evaluator.EvaluateBatch(q, analysis, batch, &stats);
+    std::vector<Result<AnswerSet>> out;
+    for (const Binding& params : batch) {
+      out.push_back(evaluator.Evaluate(q, analysis, params, &stats));
+    }
     AddBatch(name, out, stats);
   }
 
@@ -192,8 +194,10 @@ class Corpus {
     BoundedEvaluator evaluator(db);
     BoundedEvalStats stats;
     stats.capture_ops = true;
-    std::vector<Result<AnswerSet>> out =
-        evaluator.EvaluateEmbeddedBatch(analysis, batch, &stats);
+    std::vector<Result<AnswerSet>> out;
+    for (const Binding& params : batch) {
+      out.push_back(evaluator.EvaluateEmbedded(analysis, params, &stats));
+    }
     AddBatch(name, out, stats);
   }
 
@@ -653,43 +657,39 @@ std::vector<std::string> ReadLines(const std::string& path) {
   return out;
 }
 
-TEST(CompiledVmTest, GoldenCertificatesAtOneAndFourThreads) {
+TEST(CompiledVmTest, GoldenCertificatesReplayByteForByte) {
   const std::vector<std::string> golden =
       ReadLines(std::string(SCALEIN_GOLDEN_DIR) + "/bounded_certs.txt");
-  for (size_t threads : {size_t{1}, size_t{4}}) {
-    par::WorkerPool::Global().Resize(threads);
-    Corpus corpus;
-    Q1Cases(&corpus);
-    PreExpiredCases(&corpus);
-    EnforceCases(&corpus);
-    PropertyShapeCases(&corpus);
-    WideFrontierCases(&corpus);
-    RuleCases(&corpus);
-    FuzzCases(&corpus);
-    EmbeddedCases(&corpus);
-    WideAtomCases(&corpus);
-    for (const char* rule :
-         {"atom", "condition", "and", "or", "exists", "forall"}) {
-      EXPECT_TRUE(corpus.rules.count(rule)) << "corpus never ran " << rule;
-    }
-    if (corpus.lines != golden) {
-      std::ofstream out("bounded_certs.actual.txt");
-      for (const std::string& line : corpus.lines) out << line << "\n";
-      size_t i = 0;
-      while (i < golden.size() && i < corpus.lines.size() &&
-             golden[i] == corpus.lines[i]) {
-        ++i;
-      }
-      ADD_FAILURE() << "threads=" << threads << ": corpus differs at line "
-                    << i + 1 << " (golden " << golden.size()
-                    << " lines, produced " << corpus.lines.size() << ")\n"
-                    << "golden:   "
-                    << (i < golden.size() ? golden[i] : "<end>") << "\n"
-                    << "produced: "
-                    << (i < corpus.lines.size() ? corpus.lines[i] : "<end>");
-    }
+  Corpus corpus;
+  Q1Cases(&corpus);
+  PreExpiredCases(&corpus);
+  EnforceCases(&corpus);
+  PropertyShapeCases(&corpus);
+  WideFrontierCases(&corpus);
+  RuleCases(&corpus);
+  FuzzCases(&corpus);
+  EmbeddedCases(&corpus);
+  WideAtomCases(&corpus);
+  for (const char* rule :
+       {"atom", "condition", "and", "or", "exists", "forall"}) {
+    EXPECT_TRUE(corpus.rules.count(rule)) << "corpus never ran " << rule;
   }
-  par::WorkerPool::Global().Resize(1);
+  if (corpus.lines != golden) {
+    std::ofstream out("bounded_certs.actual.txt");
+    for (const std::string& line : corpus.lines) out << line << "\n";
+    size_t i = 0;
+    while (i < golden.size() && i < corpus.lines.size() &&
+           golden[i] == corpus.lines[i]) {
+      ++i;
+    }
+    ADD_FAILURE() << "corpus differs at line " << i + 1 << " (golden "
+                  << golden.size() << " lines, produced "
+                  << corpus.lines.size() << ")\n"
+                  << "golden:   " << (i < golden.size() ? golden[i] : "<end>")
+                  << "\n"
+                  << "produced: "
+                  << (i < corpus.lines.size() ? corpus.lines[i] : "<end>");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -464,6 +464,39 @@ TEST(MetricsHttpTest, ServesPrometheusTextAndDrainAwareHealth) {
   http.Shutdown();
 }
 
+// Lines of /proc/self/maps. A thread that exited but was never joined keeps
+// its stack mapped: two more lines, the stack and its guard page.
+size_t MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// Scrape connections share serve::Port's listener, so a finished scrape's
+// thread is joined at the next accept. Unreaped, 200 scrapes add about 400
+// lines.
+TEST(MetricsHttpTest, SequentialScrapesDoNotAccumulateThreadStacks) {
+  if (MappedRegions() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  obs::MetricsRegistry registry;
+  MetricsHttp http(&registry, nullptr, MetricsHttp::Options{});
+  ASSERT_TRUE(http.Listen().ok());
+  // Warm-up: the allocator arenas and cached thread stacks settle first.
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_NE(HttpGet(http.port(), "/healthz").find("200 OK"),
+              std::string::npos);
+  }
+  const size_t before = MappedRegions();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_NE(HttpGet(http.port(), "/healthz").find("200 OK"),
+              std::string::npos);
+  }
+  const size_t after = MappedRegions();
+  http.Shutdown();
+  EXPECT_EQ(http.scrapes(), 210u);
+  EXPECT_LT(after, before + 40) << "before=" << before << " after=" << after;
+}
+
 // The per-class SLO series the server maintains: one histogram observation
 // per terminal request, placed by the shared bucket rule.
 TEST(ServeObsTest, PerClassSloHistogramsRecordTerminalRequests) {

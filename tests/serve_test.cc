@@ -1,7 +1,7 @@
 // Tests for the multi-session serve layer: the pure admission decision
 // function, session envelope accounting, the wire framing, and the Server
 // itself — including the determinism contract (byte-identical admission
-// transcripts across thread counts for a fixed arrival script) and the
+// transcripts across run-slot counts for a fixed arrival script) and the
 // certify round-trip for journaled refusal verdicts.
 
 #include <gtest/gtest.h>
@@ -14,6 +14,7 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,20 +408,20 @@ TEST(ServerTest, QueueTimeoutShedsAndSlotReleaseReadmits) {
 }
 
 // The determinism acceptance criterion: one fixed arrival script, replayed
-// at different engine thread counts, must produce byte-identical admission
+// at different run-slot counts, must produce byte-identical admission
 // transcripts (SCALEIN_SESSION_ID pins the session fingerprint half of the
-// QueryIds; answer sets are canonically ordered already).
-TEST(ServerTest, ScriptedTranscriptIsByteIdenticalAcrossThreadCounts) {
+// QueryIds; answer sets are canonically ordered already). `#busy` echoes its
+// count, so the script uses one count that fills every slot at both sizes.
+TEST(ServerTest, ScriptedTranscriptIsByteIdenticalAcrossRunSlotCounts) {
   ::setenv("SCALEIN_SESSION_ID", "serve-determinism", 1);
-  auto run = [](unsigned threads) {
-    ::setenv("SCALEIN_THREADS", std::to_string(threads).c_str(), 1);
+  auto run = [](size_t run_slots) {
     Shell shell;
     LoadCatalog(&shell);
     Server::Options options;
     options.scripted = true;
     options.sla.session_fetch_budget = 150;
     options.sla.queue_timeout_ms = 5;
-    options.sla.max_running = 1;
+    options.sla.max_running = run_slots;
     Server server(&shell, options);
     EXPECT_TRUE(server.Start().ok());
     const char* kScript[][2] = {
@@ -428,7 +429,7 @@ TEST(ServerTest, ScriptedTranscriptIsByteIdenticalAcrossThreadCounts) {
         {"a", kFriendEval},    {"b", kFriendEval},
         {"a", kSecretEval},    // reject: no static bound
         {"a", kFriendEval},    // admit: refunds keep the lease alive
-        {"a", "#busy 1"},      {"b", kFriendEval},  // queue-timeout shed
+        {"a", "#busy 4"},      {"b", kFriendEval},  // queue-timeout shed
         {"a", "#busy 0"},      {"a", "budget"},
         {"b", "budget"},       {"a", "bye"},
         {"b", "bye"},
@@ -439,7 +440,6 @@ TEST(ServerTest, ScriptedTranscriptIsByteIdenticalAcrossThreadCounts) {
       transcript += out.ok() ? *out : "error: " + out.status().ToString();
     }
     server.Drain();
-    ::unsetenv("SCALEIN_THREADS");
     return transcript;
   };
   const std::string at1 = run(1);
@@ -853,6 +853,67 @@ TEST(PortTest, AcceptFailpointDropsConnectionNotServer) {
   // Faulted connections are not counted as accepted — they are io_faults.
   EXPECT_EQ(port.accepted(), 1u);
   EXPECT_GE(server.shell_metrics()->GetCounter("serve.io_faults").value(), 1u);
+}
+
+// Lines of /proc/self/maps. A thread that exited but was never joined keeps
+// its stack mapped: two more lines, the stack and its guard page.
+size_t MappedRegions() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+// A finished connection's thread is joined when the next connection is
+// accepted, so a long-lived server does not keep one stack per connection
+// it ever served. Unreaped, 200 connections add about 400 lines.
+TEST(PortTest, SequentialConnectionsDoNotAccumulateThreadStacks) {
+  if (MappedRegions() == 0) GTEST_SKIP() << "no /proc/self/maps";
+  Shell shell;
+  LoadCatalog(&shell);
+  Server server(&shell, Server::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  Port port(&server, Port::Options{});
+  Status listening = port.Listen();
+  if (!listening.ok()) {
+    GTEST_SKIP() << "cannot bind loopback: " << listening.ToString();
+  }
+  // One hello/bye session; returns the frames read before end of stream.
+  auto hello_bye = [&port]() {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval timeout{};
+    timeout.tv_sec = 5;
+    (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port.port());
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    const std::string request = "hello\nbye\n";
+    EXPECT_EQ(::send(fd, request.data(), request.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(request.size()));
+    FrameDecoder decoder;
+    size_t frames = 0;
+    char buf[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+      decoder.Feed(std::string_view(buf, static_cast<size_t>(n)));
+      bool ok;
+      std::string payload;
+      while (decoder.Next(&ok, &payload)) ++frames;
+    }
+    ::close(fd);
+    return frames;
+  };
+  // Warm-up: the allocator arenas and cached thread stacks settle first.
+  for (int i = 0; i < 10; ++i) ASSERT_EQ(hello_bye(), 2u);
+  const size_t before = MappedRegions();
+  for (int i = 0; i < 200; ++i) ASSERT_EQ(hello_bye(), 2u);
+  const size_t after = MappedRegions();
+  port.Shutdown();
+  EXPECT_EQ(port.accepted(), 210u);
+  EXPECT_LT(after, before + 40) << "before=" << before << " after=" << after;
 }
 
 }  // namespace

@@ -147,7 +147,7 @@ TEST(ShellTest, OutOfRangeNumbersAreErrorsNotAborts) {
             std::string::npos);
 }
 
-// `limit`, `threads` and `qdsi` counts used to wrap modulo 2^64
+// `limit` and `qdsi` counts used to wrap modulo 2^64
 // (`limit fetch=18446744073709551617` armed fetch=1).
 TEST(ShellTest, OverflowingCountsFailAndLeaveStateUnchanged) {
   Shell shell = LoadedShell();
@@ -155,9 +155,6 @@ TEST(ShellTest, OverflowingCountsFailAndLeaveStateUnchanged) {
   EXPECT_FALSE(shell.Execute("limit fetch=18446744073709551617").ok());
   EXPECT_FALSE(shell.Execute("limit rows=3 fetch=-1").ok());
   EXPECT_EQ(Must(&shell, "limit"), "limits: fetch=5 rows=7\n");
-  const std::string threads = Must(&shell, "threads");
-  EXPECT_FALSE(shell.Execute("threads 18446744073709551618").ok());
-  EXPECT_EQ(Must(&shell, "threads"), threads);
   EXPECT_FALSE(
       shell.Execute("qdsi 18446744073709551617 Q(x) :- friend(x, y)").ok());
 }

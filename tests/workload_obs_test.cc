@@ -224,21 +224,18 @@ TEST(WorkloadShellTest, NonControllableEvalIsTalliedAndJournaled) {
   EXPECT_NE(detail.find(certs[1].query_id), std::string::npos);
 }
 
-TEST(WorkloadShellTest, TopRenderingIsByteIdenticalAcrossThreadCounts) {
-  auto run = [](size_t threads) {
+TEST(WorkloadShellTest, TopRenderingIsByteIdenticalAcrossSessions) {
+  auto run = [] {
     Shell shell = LoadedShell();
-    Must(&shell, "threads " + std::to_string(threads));
     for (int i = 0; i < 3; ++i) Must(&shell, kFriendQuery);
     (void)shell.Execute(kSecretQuery);
     (void)shell.Execute(kSecretQuery);
-    std::string out = Must(&shell, "workload top 5");
-    Must(&shell, "threads 1");
-    return out;
+    return Must(&shell, "workload top 5");
   };
-  const std::string at1 = run(1);
-  const std::string at4 = run(4);
-  EXPECT_EQ(at1, at4);
-  EXPECT_NE(at1.find("5 observation(s), 2 non-controllable"),
+  const std::string first = run();
+  const std::string second = run();
+  EXPECT_EQ(first, second);
+  EXPECT_NE(first.find("5 observation(s), 2 non-controllable"),
             std::string::npos);
 }
 
