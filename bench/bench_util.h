@@ -130,6 +130,81 @@ double MeasureMs(Fn&& fn, double min_ms = 20.0) {
   return timer.ElapsedMs() / iters;
 }
 
+/// Median of `v` (0 when empty).
+inline double Median(std::vector<double> v) {
+  if (v.empty()) return 0.0;
+  const size_t mid = v.size() / 2;
+  std::nth_element(v.begin(), v.begin() + mid, v.end());
+  if (v.size() % 2 == 1) return v[mid];
+  return (v[mid] + *std::max_element(v.begin(), v.begin() + mid)) / 2.0;
+}
+
+/// An interleaved A/B comparison: per pair, B's time over A's; their median
+/// and a 95% percentile-bootstrap confidence interval of that median.
+struct Comparison {
+  std::vector<double> ratios;  ///< B/A, one per pair
+  double a_ms = 0;             ///< median A sample
+  double b_ms = 0;             ///< median B sample
+  double median = 0;
+  double ci_low = 0;
+  double ci_high = 0;
+
+  /// Recomputes median and CI from `ratios`: 2,000 resamples with a fixed
+  /// seed, so the same ratios always give the same interval.
+  void Summarize() {
+    median = Median(ratios);
+    const size_t n = ratios.size();
+    if (n == 0) return;
+    uint64_t state = 0x5eedULL;
+    auto next = [&state] {  // SplitMix64
+      uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      return z ^ (z >> 31);
+    };
+    constexpr size_t kResamples = 2000;
+    std::vector<double> medians(kResamples);
+    std::vector<double> sample(n);
+    for (double& m : medians) {
+      for (double& x : sample) x = ratios[next() % n];
+      m = Median(sample);
+    }
+    std::sort(medians.begin(), medians.end());
+    ci_low = medians[kResamples * 25 / 1000];
+    ci_high = medians[kResamples * 975 / 1000 - 1];
+  }
+};
+
+/// Repeat-and-compare in one process: takes `pairs` samples of each side,
+/// A B, B A, A B, … (each pair alternates which side runs first), and
+/// compares each B sample with the A sample it was paired with. Clock-speed
+/// drift and neighbour load change slowly next to one pair, so they cancel
+/// in the pair's ratio instead of landing on whichever side ran in a slow
+/// phase. `a()` and `b()` each return one timed sample, e.g. MeasureMs over
+/// a short window.
+template <typename SampleA, typename SampleB>
+Comparison CompareInterleaved(SampleA&& a, SampleB&& b, size_t pairs) {
+  Comparison c;
+  std::vector<double> as, bs;
+  for (size_t i = 0; i < pairs; ++i) {
+    double ta = 0, tb = 0;
+    if (i % 2 == 0) {
+      ta = a();
+      tb = b();
+    } else {
+      tb = b();
+      ta = a();
+    }
+    as.push_back(ta);
+    bs.push_back(tb);
+    if (ta > 0) c.ratios.push_back(tb / ta);
+  }
+  c.a_ms = Median(as);
+  c.b_ms = Median(bs);
+  c.Summarize();
+  return c;
+}
+
 /// Measured parallelism of this host: a spin loop calibrated to ~40 ms on
 /// one thread is run once alone, then once on every hardware thread at the
 /// same time; returns N * t1 / tN. Unlike hardware_concurrency(), this sees

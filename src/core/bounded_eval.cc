@@ -46,11 +46,13 @@ Result<AnswerSet> BoundedEvaluator::Evaluate(
 Result<AnswerSet> BoundedEvaluator::Evaluate(
     const exec::CompiledProgram& program, const Binding& params,
     BoundedEvalStats* stats) const {
+  // The span covers the whole call: the parameter check, and the context
+  // built before the walk and torn down after it.
+  obs::ScopedSpan span(obs::Tracer::Global(), "bounded.evaluate", "core");
   SI_RETURN_IF_ERROR(CheckPlain(program, params));
   exec::ExecContext ctx(db_);
   ctx.set_limits(limits_);  // per-evaluation resource envelope
   ctx.set_timing_enabled(collect_timing_);
-  obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate", "core");
   exec::PlainRows rows;
   exec::RunPlain(program, *db_, enforce_bounds_, params,
                  collect_timing_ || (stats != nullptr && stats->capture_ops),
@@ -91,11 +93,13 @@ Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
 Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
     const exec::CompiledProgram& program, const Binding& params,
     BoundedEvalStats* stats) const {
+  // As in Evaluate, the span covers the whole call.
+  obs::ScopedSpan span(obs::Tracer::Global(), "bounded.evaluate_degraded",
+                       "core");
   SI_RETURN_IF_ERROR(CheckPlain(program, params));
   exec::ExecContext ctx(db_);
   ctx.set_limits(limits_);
   ctx.set_timing_enabled(collect_timing_);
-  obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate_degraded", "core");
   if (obs::FlightRecorderEnabled()) {
     obs::RecordFlightEvent(
         obs::EventKind::kQueryStart, "bounded.evaluate_degraded",

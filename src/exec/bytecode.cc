@@ -164,7 +164,8 @@ std::string CompiledProgram::Disassemble() const {
             c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
           }
           line(text + name + " " + OpRef(node.op_idx, *this) + " layout=" +
-               RegListText(node.layout) + " CHARGE");
+               RegListText(node.layout) +
+               (node.dedup_adjacent ? " dedup-adjacent" : "") + " CHARGE");
           break;
         }
       }

@@ -87,7 +87,8 @@ struct LeafCode {
 /// One node of a plain §4 derivation. The VM visits a node once per
 /// register row, exactly where the derivation walk evaluates the node under
 /// one environment, and returns the node's distinct result rows in set
-/// order. Every rule lowers to one node:
+/// order: sorted on `layout`, and distinct on it. Every rule lowers to one
+/// node:
 ///   atom, condition  the leaf body in `leaf`
 ///   and              children[0, n_positive) extend the row in conjunct
 ///                    order; children[n_positive, …) are safe negations
@@ -96,6 +97,9 @@ struct LeafCode {
 ///   exists           the body's rows, deduplicated on the smaller layout
 ///   forall           one row iff the conclusion (children[1]) holds for
 ///                    every row of the premise (children[0])
+/// A leaf sorts its extensions, and/or/exists sort their rows, and a
+/// condition or forall returns at most one row, so every node's rows are in
+/// set order by construction; `dedup_adjacent` relies on exactly that.
 struct PlainNode {
   ControlRule rule = ControlRule::kAtom;
   int32_t op_idx = -1;  ///< index into CompiledProgram::ops
@@ -106,6 +110,9 @@ struct PlainNode {
   /// bound on entry) in variable-id order: the sort and dedup key that
   /// reproduces the derivation's binding-set order.
   std::vector<Reg> layout;
+  /// "exists" whose layout is a prefix of its body's: the body's rows are
+  /// already sorted on it, so dropping adjacent duplicates replaces the sort.
+  bool dedup_adjacent = false;
 };
 
 /// One projection column of a chase step: fetched column `column` is

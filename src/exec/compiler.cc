@@ -1,5 +1,6 @@
 #include "exec/compiler.h"
 
+#include <algorithm>
 #include <set>
 #include <utility>
 #include <vector>
@@ -130,6 +131,11 @@ class PlainLowering {
                                               *opt.child_options[0], inner,
                                               body_dest, op));
         out.children.push_back(c);
+        const std::vector<Reg>& body_layout = p_->nodes[c].layout;
+        out.dedup_adjacent =
+            out.layout.size() <= body_layout.size() &&
+            std::equal(out.layout.begin(), out.layout.end(),
+                       body_layout.begin());
         break;
       }
       case ControlRule::kForall: {

@@ -32,38 +32,18 @@ void ExecContext::RecordTrip() {
   }
 }
 
-void ExecContext::Charge(const std::string& relation, uint64_t tuples,
-                         OpCounters* op) {
-  base_tuples_fetched_ += tuples;
-  fetched_by_relation_[relation] += tuples;
-  if (!governor_.OnFetch(base_tuples_fetched_, op)) RecordTrip();
-}
-
 uint64_t* ExecContext::RelationSlot(const std::string& name) {
   return &fetched_by_relation_[name];
 }
 
-void ExecContext::ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op) {
-  *slot += n;
-  base_tuples_fetched_ += n;
-  if (op != nullptr) op->tuples_fetched += n;
-  if (!governor_.OnFetch(base_tuples_fetched_, op)) RecordTrip();
-}
-
 void ExecContext::ChargeIndexLookup(const std::string& relation,
                                     uint64_t tuples, OpCounters* op) {
-  ++index_lookups_;
-  if (op != nullptr) {
-    ++op->index_lookups;
-    op->tuples_fetched += tuples;
-  }
-  Charge(relation, tuples, op);
+  ChargeProbe(RelationSlot(relation), tuples, op);
 }
 
 void ExecContext::ChargeScan(const std::string& relation, uint64_t tuples,
                              OpCounters* op) {
-  if (op != nullptr) op->tuples_fetched += tuples;
-  Charge(relation, tuples, op);
+  ChargeRows(RelationSlot(relation), tuples, op);
 }
 
 void ExecContext::SetError(Status s) {

@@ -146,12 +146,26 @@ class ExecContext {
   void ChargeScan(const std::string& relation, uint64_t tuples, OpCounters* op);
 
   /// Stable pointer to the per-relation fetched counter for `name` (map
-  /// nodes are pointer-stable). Pair with ChargeRows so per-row scan charges
-  /// skip the name lookup.
+  /// nodes are pointer-stable), entering `name` into fetched_by_relation().
+  /// Pair with ChargeRows / ChargeProbe so hot-path charges skip the name
+  /// lookup.
   uint64_t* RelationSlot(const std::string& name);
 
   /// Hot-path scan charge of `n` tuples against a pre-resolved slot.
-  void ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op);
+  void ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op) {
+    *slot += n;
+    base_tuples_fetched_ += n;
+    if (op != nullptr) op->tuples_fetched += n;
+    if (!governor_.OnFetch(base_tuples_fetched_, op)) RecordTrip();
+  }
+
+  /// Hot-path index-probe charge against a pre-resolved slot: one lookup
+  /// fetching `tuples`, exactly what ChargeIndexLookup charges.
+  void ChargeProbe(uint64_t* slot, uint64_t tuples, OpCounters* op) {
+    ++index_lookups_;
+    if (op != nullptr) ++op->index_lookups;
+    ChargeRows(slot, tuples, op);
+  }
 
   /// First error wins; operators stop producing once a context has failed.
   const Status& status() const { return status_; }
@@ -177,7 +191,6 @@ class ExecContext {
   std::string DebugString() const;
 
  private:
-  void Charge(const std::string& relation, uint64_t tuples, OpCounters* op);
   /// Converts the governor's recorded trip into this context's first error.
   void RecordTrip();
 

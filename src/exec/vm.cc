@@ -17,13 +17,25 @@ namespace {
 #define SCALEIN_VM_COMPUTED_GOTO 0
 #endif
 
-/// Per-evaluation immutable view of a program: relation pointers resolved
-/// once, the op table registered once (table index == prototype index).
+/// A PROBE leaf's access path, bound at its first probe of an evaluation:
+/// the index it reads and the fetch slot it charges. Bound per evaluation,
+/// never in the shared program: a cached program outlives the relations a
+/// `row` or `load` replaces, and one program can run against several
+/// databases.
+struct AccessPath {
+  const HashIndex* index = nullptr;
+  uint64_t* fetched = nullptr;  ///< ExecContext::RelationSlot
+};
+
+/// Per-evaluation view of a program: relation pointers resolved once, the
+/// op table registered once (table index == prototype index), and the
+/// access paths its PROBE leaves bind as they go (indexed by node).
 struct Shared {
   const CompiledProgram& p;
   bool enforce = false;
   std::vector<const Relation*> rels;
   std::vector<OpCounters*> ops;  ///< empty when ops are not captured
+  std::vector<AccessPath> paths;
 
   OpCounters* op(int32_t idx) const {
     return idx >= 0 && !ops.empty() ? ops[idx] : nullptr;
@@ -34,7 +46,7 @@ struct Shared {
 /// op prototypes into `ctx` in table order (derivation pre-order).
 Shared MakeShared(const CompiledProgram& p, const Database& db, bool enforce,
                   bool register_ops, ExecContext* ctx) {
-  Shared sh{p, enforce, {}, {}};
+  Shared sh{p, enforce, {}, {}, std::vector<AccessPath>(p.nodes.size())};
   sh.rels.reserve(p.relations.size());
   for (const std::string& name : p.relations) {
     sh.rels.push_back(db.FindRelation(name));
@@ -211,27 +223,31 @@ bool EvalCondFormula(const Formula& f, const LeafCode& leaf, const Value* row,
 /// distinct ones to `out`: a node's result set in binding-set order. Rows
 /// equal on the layout agree on every register read downstream (the others
 /// belong to variables the node's scope already projected away), so which
-/// duplicate survives is unobservable. Returns the distinct count.
-uint64_t SortUniqueRows(const std::vector<Value>& rows, size_t width,
-                        const std::vector<Reg>& layout,
-                        std::vector<uint32_t>* idx, std::vector<Value>* out) {
+/// duplicate survives is unobservable. With `sorted`, `rows` is already
+/// sorted on `layout` and only adjacent duplicates are dropped. Returns the
+/// distinct count.
+uint64_t UniqueRows(const std::vector<Value>& rows, size_t width,
+                    const std::vector<Reg>& layout, bool sorted,
+                    std::vector<uint32_t>* idx, std::vector<Value>* out) {
   const size_t n = width == 0 ? 0 : rows.size() / width;
   if (n <= 1) {
     out->insert(out->end(), rows.begin(), rows.end());
     return n;
   }
-  idx->resize(n);
-  for (size_t i = 0; i < n; ++i) (*idx)[i] = static_cast<uint32_t>(i);
   const Value* base = rows.data();
-  std::sort(idx->begin(), idx->end(), [&](uint32_t a, uint32_t b) {
-    const Value* ra = base + static_cast<size_t>(a) * width;
-    const Value* rb = base + static_cast<size_t>(b) * width;
-    for (Reg rg : layout) {
-      if (ra[rg] < rb[rg]) return true;
-      if (rb[rg] < ra[rg]) return false;
-    }
-    return false;
-  });
+  if (!sorted) {
+    idx->resize(n);
+    for (size_t i = 0; i < n; ++i) (*idx)[i] = static_cast<uint32_t>(i);
+    std::sort(idx->begin(), idx->end(), [&](uint32_t a, uint32_t b) {
+      const Value* ra = base + static_cast<size_t>(a) * width;
+      const Value* rb = base + static_cast<size_t>(b) * width;
+      for (Reg rg : layout) {
+        if (ra[rg] < rb[rg]) return true;
+        if (rb[rg] < ra[rg]) return false;
+      }
+      return false;
+    });
+  }
   // Room for every row at once, growing geometrically: `out` may collect the
   // results of many visits.
   if (const size_t need = out->size() + rows.size(); need > out->capacity()) {
@@ -240,7 +256,8 @@ uint64_t SortUniqueRows(const std::vector<Value>& rows, size_t width,
   uint64_t d = 0;
   const Value* prev = nullptr;
   for (size_t i = 0; i < n; ++i) {
-    const Value* src = base + static_cast<size_t>((*idx)[i]) * width;
+    const Value* src =
+        base + static_cast<size_t>(sorted ? i : (*idx)[i]) * width;
     if (prev != nullptr) {
       bool eq = true;
       for (size_t j = 0; j < layout.size() && eq; ++j) {
@@ -260,7 +277,7 @@ uint64_t SortUniqueRows(const std::vector<Value>& rows, size_t width,
 /// (row plus the node's new bindings) to `out`.
 class PlainVm {
  public:
-  PlainVm(const Shared& sh, ExecContext* ctx)
+  PlainVm(Shared& sh, ExecContext* ctx)
       : sh_(sh), p_(sh.p), ctx_(ctx), w_(sh.p.num_regs),
         scratch_(sh.p.nodes.size()) {}
 
@@ -299,7 +316,7 @@ class PlainVm {
     switch (node.rule) {
       case ControlRule::kAtom:
       case ControlRule::kCondition:
-        return VisitLeaf(node, row, op, out);
+        return VisitLeaf(n, node, row, op, out);
       case ControlRule::kAnd:
         return VisitAnd(n, node, row, out);
       case ControlRule::kOr:
@@ -313,12 +330,12 @@ class PlainVm {
   }
 
   /// An atom probe or a condition: appends one row per distinct extension.
-  uint64_t VisitLeaf(const PlainNode& node, const Value* row, OpCounters* op,
-                     std::vector<Value>* out) {
+  uint64_t VisitLeaf(uint32_t n, const PlainNode& node, const Value* row,
+                     OpCounters* op, std::vector<Value>* out) {
     const LeafCode& leaf = node.leaf;
     const uint64_t d = node.rule == ControlRule::kCondition
                            ? LeafCondition(leaf, row)
-                           : LeafAtom(leaf, row, op);
+                           : LeafAtom(n, leaf, row, op);
     const size_t ew = leaf.ext_width;
     if (ew == 0) {
       if (d > 0) out->insert(out->end(), row, row + w_);
@@ -349,9 +366,21 @@ class PlainVm {
     return 1;
   }
 
+  /// A PROBE leaf's key under the environment in `row`, into `key`.
+  void BuildKey(const LeafCode& leaf, const Value* row, Tuple* key) const {
+    key->clear();
+    for (const Slot& slot : leaf.key) {
+      key->push_back(slot.kind == Slot::Kind::kConst ? p_.consts[slot.index]
+                                                     : row[slot.reg]);
+    }
+  }
+
   /// One metered probe (or full scan); leaves the distinct extensions,
-  /// sorted, in leaf_.ext and returns their count.
-  uint64_t LeafAtom(const LeafCode& leaf, const Value* row, OpCounters* op) {
+  /// sorted, in leaf_.ext and returns their count. A probe leaf binds its
+  /// access path at its first probe, after the failpoint, so its relation
+  /// enters the per-relation accounting at its first charge.
+  uint64_t LeafAtom(uint32_t n, const LeafCode& leaf, const Value* row,
+                    OpCounters* op) {
     LeafScratch* s = &leaf_;
     s->ext.clear();
     const size_t w = leaf.ext_width;
@@ -379,13 +408,18 @@ class PlainVm {
       }
       for (size_t i = 0; i < rel->size(); ++i) consume(rel->TupleAt(i));
     } else {
-      s->key.clear();
-      for (const Slot& slot : leaf.key) {
-        s->key.push_back(slot.kind == Slot::Kind::kConst ? p_.consts[slot.index]
-                                                         : row[slot.reg]);
+      BuildKey(leaf, row, &s->key);
+      if (Status st = SCALEIN_FAILPOINT("index_probe"); !st.ok()) {
+        ctx_->SetError(std::move(st));
+        return 0;
       }
-      const std::vector<uint32_t>* rows =
-          MeteredIndexLookup(ctx_, name, *rel, leaf.key_positions, s->key, op);
+      AccessPath& path = sh_.paths[n];
+      if (path.index == nullptr) {
+        path.index = &rel->EnsureIndex(leaf.key_positions);
+        path.fetched = ctx_->RelationSlot(name);
+      }
+      const std::vector<uint32_t>* rows = path.index->Lookup(s->key);
+      ctx_->ChargeProbe(path.fetched, rows == nullptr ? 0 : rows->size(), op);
       if (!ctx_->ok() || rows == nullptr) return 0;
       if (sh_.enforce && rows->size() > leaf.access->max_tuples) {
         ctx_->SetError(Status::ResourceExhausted("σ on " + name +
@@ -399,8 +433,41 @@ class PlainVm {
     return SortUniqueChunks(&s->ext, w, &s->idx, &s->tmp);
   }
 
+  /// Issues the loads of PROBE leaf `child`'s probes for the partial rows
+  /// [begin, end) of `rows`, one pass per dependent load: table slot, entry
+  /// key and row-id vector, row ids, first row. A hint only: it builds no
+  /// index, binds no access path and charges nothing, and it is skipped when
+  /// the index does not exist yet.
+  void PrefetchProbes(uint32_t child, const std::vector<Value>& rows,
+                      size_t begin, size_t end) {
+    const PlainNode& node = p_.nodes[child];
+    if (node.rule != ControlRule::kAtom || node.leaf.full_scan) return;
+    const Relation* rel = sh_.rels[node.leaf.relation];
+    if (rel == nullptr) return;
+    const HashIndex* index = sh_.paths[child].index;
+    if (index == nullptr) index = rel->FindIndex(node.leaf.key_positions);
+    if (index == nullptr) return;
+    std::vector<uint32_t>& tags = prefetch_;
+    tags.clear();
+    for (size_t i = begin; i < end; ++i) {
+      BuildKey(node.leaf, rows.data() + i * w_, &leaf_.key);
+      tags.push_back(HashIndex::KeyTag(leaf_.key));
+      index->PrefetchSlot(tags.back());
+    }
+    for (uint32_t& t : tags) t = index->PrefetchEntry(t);  // tag -> entry
+    ids_.clear();
+    for (uint32_t e : tags) {
+      if (e != IdTable::kNone) ids_.push_back(index->PrefetchRowIds(e));
+    }
+    for (const uint32_t* ids : ids_) {
+      PrefetchForRead(rel->TupleAt(ids[0]).data());
+    }
+  }
+
   /// Conjunction: positives extend every partial in conjunct order, then
-  /// each safe negation must come back empty for the partial to survive.
+  /// each safe negation must come back empty for the partial to survive. A
+  /// PROBE conjunct's probes are prefetched a batch of partials ahead of
+  /// their visits, which still run, and charge, one at a time in order.
   uint64_t VisitAnd(uint32_t n, const PlainNode& node, const Value* row,
                     std::vector<Value>* out) {
     NodeScratch& s = scratch_[n];
@@ -409,6 +476,10 @@ class PlainVm {
       s.next.clear();
       const size_t m = s.rows.size() / w_;
       for (size_t i = 0; i < m; ++i) {
+        if (m >= 2 && i % kPrefetchBatch == 0) {
+          PrefetchProbes(node.children[k], s.rows, i,
+                         std::min(m, i + kPrefetchBatch));
+        }
         Visit(node.children[k], s.rows.data() + i * w_, &s.next);
         if (!ctx_->ok()) return 0;
       }
@@ -432,7 +503,7 @@ class PlainVm {
       }
       s.rows.swap(s.next);
     }
-    return SortUniqueRows(s.rows, w_, node.layout, &idx_, out);
+    return UniqueRows(s.rows, w_, node.layout, /*sorted=*/false, &idx_, out);
   }
 
   /// Disjunction: the union of every operand's rows.
@@ -444,17 +515,19 @@ class PlainVm {
       Visit(child, row, &s.rows);
       if (!ctx_->ok()) return 0;
     }
-    return SortUniqueRows(s.rows, w_, node.layout, &idx_, out);
+    return UniqueRows(s.rows, w_, node.layout, /*sorted=*/false, &idx_, out);
   }
 
   /// ∃: the body's rows, deduplicated once the quantified registers drop
-  /// out of the layout.
+  /// out of the layout. The body's rows come sorted on its layout, so when
+  /// this layout is a prefix of it they are sorted on this one too.
   uint64_t VisitExists(uint32_t n, const PlainNode& node, const Value* row,
                        std::vector<Value>* out) {
     NodeScratch& s = scratch_[n];
     s.rows.clear();
     Visit(node.children[0], row, &s.rows);
-    return SortUniqueRows(s.rows, w_, node.layout, &idx_, out);
+    return UniqueRows(s.rows, w_, node.layout, node.dedup_adjacent, &idx_,
+                      out);
   }
 
   /// ∀(Q → Q'): one row iff the conclusion holds for every premise row.
@@ -476,13 +549,19 @@ class PlainVm {
     return 1;
   }
 
-  const Shared& sh_;
+  /// Partial rows whose probes one prefetch pass covers: enough to overlap
+  /// many loads, few enough that their lines stay cached until the visits.
+  static constexpr size_t kPrefetchBatch = 128;
+
+  Shared& sh_;
   const CompiledProgram& p_;
   ExecContext* ctx_;
   const size_t w_;
   std::vector<NodeScratch> scratch_;
   LeafScratch leaf_;
   std::vector<uint32_t> idx_;
+  std::vector<uint32_t> prefetch_;    ///< one batch's tags, then entries
+  std::vector<const uint32_t*> ids_;  ///< one batch's row-id arrays
 };
 
 /// Scratch of the embedded chase: flat arity-wide candidate buffers.
@@ -599,7 +678,10 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
 
 /// Projects `n` rows of `w` registers onto the open head registers. Each
 /// distinct answer charges the output-row cap (to `op`); the tripping answer
-/// is withdrawn, so exactly `cap` answers survive.
+/// is withdrawn, so exactly `cap` answers survive. Each answer is inserted
+/// with the end as its hint: when the head is the root's layout the rows
+/// arrive in AnswerSet order and that costs one comparison; otherwise the
+/// hint is wrong and costs one comparison before the usual search.
 void ProjectHead(const CompiledProgram& p, const Value* rows, size_t n,
                  size_t w, ExecContext* ctx, OpCounters* op,
                  AnswerSet* answers) {
@@ -608,8 +690,9 @@ void ProjectHead(const CompiledProgram& p, const Value* rows, size_t n,
     Tuple t;
     t.reserve(p.head_regs.size());
     for (Reg r : p.head_regs) t.push_back(row[r]);
-    auto [pos, inserted] = answers->insert(std::move(t));
-    if (inserted && !ctx->ChargeOutput(1, op)) {
+    const size_t before = answers->size();
+    const auto pos = answers->emplace_hint(answers->end(), std::move(t));
+    if (answers->size() != before && !ctx->ChargeOutput(1, op)) {
       answers->erase(pos);
       break;
     }

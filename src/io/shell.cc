@@ -352,10 +352,10 @@ Result<ServePlan> Shell::PlanForServe(std::string_view rest,
                                                     plan.query_text, schema_,
                                                     access_, {},
                                                     &plan.compiled));
-  metrics_->GetGauge("shell.analysis_cache.hits")
-      .Set(static_cast<int64_t>(analysis_cache_->stats().hits));
-  metrics_->GetGauge("shell.analysis_cache.misses")
-      .Set(static_cast<int64_t>(analysis_cache_->stats().misses));
+  series_->cache_hits.Get().Set(
+      static_cast<int64_t>(analysis_cache_->stats().hits));
+  series_->cache_misses.Get().Set(
+      static_cast<int64_t>(analysis_cache_->stats().misses));
   // The same option the evaluator will execute, so the bound the admission
   // decision cites is the bound the certificate will carry.
   const ControlOption* opt =
@@ -398,7 +398,7 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
     return Status::FailedPrecondition(why);
   }
   if (program == nullptr) return Status::Internal(why);
-  metrics_->GetCounter("exec.compiled_hits").Increment();
+  series_->compiled_hits.Get().Increment();
   BoundedEvaluator evaluator(db_.get());
   evaluator.set_collect_timing(explain);
   evaluator.set_limits(limits);
@@ -410,11 +410,10 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
       evaluator.EvaluateDegraded(*program, plan.params, &stats));
   const double elapsed_ms =
       static_cast<double>(obs::MonotonicNowNs() - start_ns) / 1e6;
-  metrics_->GetHistogram("shell.eval_latency_ms").Observe(elapsed_ms);
-  metrics_->GetCounter("shell.queries").Increment();
-  metrics_->GetCounter("shell.base_tuples_fetched")
-      .Increment(stats.base_tuples_fetched);
-  metrics_->GetCounter("shell.index_lookups").Increment(stats.index_lookups);
+  series_->eval_latency.Get().Observe(elapsed_ms);
+  series_->queries.Get().Increment();
+  series_->fetched.Get().Increment(stats.base_tuples_fetched);
+  series_->lookups.Get().Increment(stats.index_lookups);
   for (const auto& [relation, fetched] : stats.fetched_by_relation) {
     metrics_->GetCounter("shell.fetched." + relation).Increment(fetched);
   }
@@ -427,8 +426,7 @@ Result<ServeEvalOutcome> Shell::EvalForServe(const ServePlan& plan,
 
   // Slow-query log: the threshold lives in a gauge so it is visible in
   // `stats` output and settable from both `slowlog` and the environment.
-  const int64_t slow_ms =
-      metrics_->GetGauge("shell.slow_query_threshold_ms").value();
+  const int64_t slow_ms = series_->slow_ms.Get().value();
   if (slow_ms > 0 && elapsed_ms >= static_cast<double>(slow_ms)) {
     metrics_->GetCounter("shell.slow_queries").Increment();
     if (obs::FlightRecorderEnabled()) {

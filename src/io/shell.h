@@ -217,6 +217,28 @@ class Shell {
   /// `workload [top K | fingerprint <fp>]`: per-fingerprint telemetry.
   Result<std::string> RunWorkload(std::string_view rest) const;
 
+  /// Fixed-name series of `metrics_` the query path moves on every query,
+  /// looked up at first use and kept (obs::Series).
+  struct QuerySeries {
+    explicit QuerySeries(obs::MetricsRegistry* m)
+        : cache_hits(m, "shell.analysis_cache.hits"),
+          cache_misses(m, "shell.analysis_cache.misses"),
+          compiled_hits(m, "exec.compiled_hits"),
+          eval_latency(m, "shell.eval_latency_ms"),
+          queries(m, "shell.queries"),
+          fetched(m, "shell.base_tuples_fetched"),
+          lookups(m, "shell.index_lookups"),
+          slow_ms(m, "shell.slow_query_threshold_ms") {}
+    obs::Series<obs::Gauge> cache_hits;
+    obs::Series<obs::Gauge> cache_misses;
+    obs::Series<obs::Counter> compiled_hits;
+    obs::Series<obs::Histogram> eval_latency;
+    obs::Series<obs::Counter> queries;
+    obs::Series<obs::Counter> fetched;
+    obs::Series<obs::Counter> lookups;
+    obs::Series<obs::Gauge> slow_ms;
+  };
+
   Schema schema_;
   AccessSchema access_;
   exec::GovernorLimits limits_;
@@ -224,6 +246,8 @@ class Shell {
   // Behind pointers: these own mutexes/threads, and Shell must stay movable.
   std::unique_ptr<obs::MetricsRegistry> metrics_ =
       std::make_unique<obs::MetricsRegistry>();
+  std::unique_ptr<QuerySeries> series_ =
+      std::make_unique<QuerySeries>(metrics_.get());
   std::unique_ptr<obs::FlightRecorder> recorder_;
   std::unique_ptr<obs::QueryJournal> journal_;
   std::unique_ptr<obs::JournalStore> journal_store_;

@@ -7,6 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace scalein::obs {
@@ -113,6 +114,40 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+/// One fixed-name series of a registry, looked up at its first use and kept:
+/// the registry never drops a series, so the pointer stays valid. The series
+/// appears in the registry exactly when an uncached lookup would create it,
+/// and later uses skip the registry's lock and map. Thread-safe: racing
+/// first uses find the same series.
+template <typename T>
+class Series {
+ public:
+  Series(MetricsRegistry* registry, std::string name)
+      : registry_(registry), name_(std::move(name)) {}
+  Series(const Series&) = delete;
+  Series& operator=(const Series&) = delete;
+
+  T& Get() {
+    T* series = cached_.load(std::memory_order_acquire);
+    if (series == nullptr) {
+      if constexpr (std::is_same_v<T, Counter>) {
+        series = &registry_->GetCounter(name_);
+      } else if constexpr (std::is_same_v<T, Gauge>) {
+        series = &registry_->GetGauge(name_);
+      } else {
+        series = &registry_->GetHistogram(name_);
+      }
+      cached_.store(series, std::memory_order_release);
+    }
+    return *series;
+  }
+
+ private:
+  MetricsRegistry* const registry_;
+  const std::string name_;
+  std::atomic<T*> cached_{nullptr};
 };
 
 /// RAII latency probe: observes elapsed milliseconds into a histogram on

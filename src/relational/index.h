@@ -9,6 +9,16 @@
 
 namespace scalein {
 
+/// Asks the CPU to start loading `p`'s cache line. A hint: it reads nothing
+/// the program can observe and never faults.
+inline void PrefetchForRead(const void* p) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(p, 0, 3);
+#else
+  (void)p;
+#endif
+}
+
 /// Linear-probing hash table of 32-bit ids whose keys live outside it: a
 /// relation's set of rows, a HashIndex's entries. A slot holds an id and a
 /// 32-bit tag of its key's hash. The tag alone places a slot, so growing
@@ -38,6 +48,22 @@ class IdTable {
       const Slot& s = slots_[i];
       if (s.id == kNone) return kNone;
       if (s.tag == tag && same(s.id)) return s.id;
+    }
+  }
+
+  /// Prefetches the slot a Find for `tag` starts at.
+  void PrefetchHome(uint32_t tag) const {
+    if (size_ != 0) PrefetchForRead(&slots_[Home(tag)]);
+  }
+
+  /// The first id stored under `tag`, or kNone: the id a Find for a key
+  /// with that tag most likely returns. A guess for prefetching; it compares
+  /// no key.
+  uint32_t FirstWithTag(uint32_t tag) const {
+    if (size_ == 0) return kNone;
+    for (size_t i = Home(tag);; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.id == kNone || s.tag == tag) return s.id;
     }
   }
 
@@ -102,6 +128,32 @@ class HashIndex {
 
   /// Size of the largest bucket: the empirical N of (R, X, N, T).
   size_t MaxBucketSize() const;
+
+  // Prefetch hints for a batch of probes. A caller about to probe many keys
+  // issues one pass per dependent load, so the loads of different keys
+  // overlap instead of queueing behind each other. They read only index
+  // memory, build nothing and change no result.
+
+  /// The tag a probe for `key` hashes to.
+  static uint32_t KeyTag(TupleView key) { return IdTable::Tag(HashTuple(key)); }
+  /// Pass 1: the table slot a probe for `tag` starts at.
+  void PrefetchSlot(uint32_t tag) const { table_.PrefetchHome(tag); }
+  /// Pass 2: the entry a probe for `tag` most likely finds (kNone when none
+  /// is stored under it); prefetches its key and its row-id vector.
+  uint32_t PrefetchEntry(uint32_t tag) const {
+    const uint32_t entry = table_.FirstWithTag(tag);
+    if (entry != IdTable::kNone) {
+      PrefetchForRead(keys_.data() + entry * positions_.size());
+      PrefetchForRead(&rows_[entry]);
+    }
+    return entry;
+  }
+  /// Pass 3: prefetches `entry`'s row ids and returns them (never empty).
+  const uint32_t* PrefetchRowIds(uint32_t entry) const {
+    const uint32_t* ids = rows_[entry].data();
+    PrefetchForRead(ids);
+    return ids;
+  }
 
   // Maintenance hooks, called by Relation.
   void AddRow(TupleView row, uint32_t row_id);

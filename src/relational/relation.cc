@@ -1,6 +1,7 @@
 #include "relational/relation.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace scalein {
 
@@ -55,8 +56,23 @@ bool Relation::Contains(TupleView t) const {
   return FindRow(t, RowTag(t)) != IdTable::kNone;
 }
 
+namespace {
+
+/// True when `positions` is already sorted and free of duplicates, so it
+/// can key the index registry without a canonical copy.
+bool IsCanonical(const std::vector<size_t>& positions) {
+  return std::adjacent_find(positions.begin(), positions.end(),
+                            std::greater_equal<size_t>()) == positions.end();
+}
+
+}  // namespace
+
 const HashIndex& Relation::EnsureIndex(
     const std::vector<size_t>& positions) const {
+  if (IsCanonical(positions)) {
+    auto it = indexes_.find(positions);
+    if (it != indexes_.end()) return *it->second;
+  }
   std::vector<size_t> c = CanonicalPositions(positions);
   for (size_t p : c) SI_CHECK_LT(p, arity_);
   auto it = indexes_.find(c);
@@ -72,7 +88,9 @@ const HashIndex& Relation::EnsureIndex(
 
 const HashIndex* Relation::FindIndex(
     const std::vector<size_t>& positions) const {
-  auto it = indexes_.find(CanonicalPositions(positions));
+  auto it = IsCanonical(positions)
+                ? indexes_.find(positions)
+                : indexes_.find(CanonicalPositions(positions));
   return it == indexes_.end() ? nullptr : it->second.get();
 }
 

@@ -95,11 +95,13 @@ class Relation {
 
   /// Ensures a hash index on `positions` exists and returns it. Positions are
   /// canonicalized (sorted + deduplicated) so logically equal indexes are
-  /// shared. Const: building an index is a caching concern, not a logical
-  /// mutation, and read-only evaluation paths build indexes on demand.
+  /// shared; positions that are already canonical find an existing index
+  /// without allocating. Const: building an index is a caching concern, not
+  /// a logical mutation, and read-only evaluation paths build indexes on
+  /// demand.
   const HashIndex& EnsureIndex(const std::vector<size_t>& positions) const;
 
-  /// The index on `positions` if it exists, else nullptr.
+  /// The index on `positions` if it exists, else nullptr. Never builds one.
   const HashIndex* FindIndex(const std::vector<size_t>& positions) const;
 
   /// Ensures a projection index keyed on `key_positions` returning distinct

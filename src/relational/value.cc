@@ -1,10 +1,12 @@
 #include "relational/value.h"
 
-#include <algorithm>
-#include <deque>
+#include <atomic>
+#include <bit>
 #include <mutex>
+#include <new>
 #include <shared_mutex>
 #include <unordered_map>
+#include <utility>
 
 namespace scalein {
 namespace {
@@ -12,9 +14,15 @@ namespace {
 /// Process-wide append-only string pool. Leaked intentionally: static storage
 /// objects must be trivially destructible, so we hold it by pointer.
 ///
-/// Thread-safe: concurrent evaluations compare/render string values (shared
-/// lock) while loaders may intern new ones (exclusive lock). Strings live in a deque so the references handed
-/// out by Lookup stay stable across later interning.
+/// Strings live in segments that never move. Segment k holds kFirst << k
+/// strings and is allocated when the first string lands in it, so memory
+/// grows geometrically with use, and a reference handed out by Lookup stays
+/// valid for the life of the process.
+///
+/// Interning takes a lock (shared to find, exclusive to add). Lookup takes
+/// none: a writer constructs the string, then publishes it with a release
+/// store of the count, and a reader's acquire load of the count makes every
+/// string below it, and the segment holding it, visible.
 class StringInterner {
  public:
   static StringInterner& Global() {
@@ -25,29 +33,52 @@ class StringInterner {
   int64_t Intern(std::string_view s) {
     {
       std::shared_lock<std::shared_mutex> lock(mu_);
-      auto it = ids_.find(std::string(s));
+      auto it = ids_.find(s);
       if (it != ids_.end()) return it->second;
     }
     std::unique_lock<std::shared_mutex> lock(mu_);
-    auto it = ids_.find(std::string(s));
+    auto it = ids_.find(s);
     if (it != ids_.end()) return it->second;  // raced with another interner
-    int64_t id = static_cast<int64_t>(strings_.size());
-    strings_.emplace_back(s);
-    ids_.emplace(strings_.back(), id);
-    return id;
+    const size_t id = size_.load(std::memory_order_relaxed);
+    const auto [seg, off] = Locate(id);
+    std::string* segment = segments_[seg].load(std::memory_order_relaxed);
+    if (segment == nullptr) {
+      // Raw storage: a page is touched only when a string lands on it.
+      segment = static_cast<std::string*>(
+          ::operator new(sizeof(std::string) * (kFirst << seg)));
+      segments_[seg].store(segment, std::memory_order_relaxed);
+    }
+    const std::string* str = new (segment + off) std::string(s);
+    ids_.emplace(std::string_view(*str), static_cast<int64_t>(id));
+    size_.store(id + 1, std::memory_order_release);  // publishes str
+    return static_cast<int64_t>(id);
   }
 
   const std::string& Lookup(int64_t id) const {
-    std::shared_lock<std::shared_mutex> lock(mu_);
     SI_CHECK_GE(id, 0);
-    SI_CHECK_LT(static_cast<size_t>(id), strings_.size());
-    return strings_[static_cast<size_t>(id)];
+    SI_CHECK_LT(static_cast<size_t>(id),
+                size_.load(std::memory_order_acquire));
+    const auto [seg, off] = Locate(static_cast<size_t>(id));
+    return segments_[seg].load(std::memory_order_relaxed)[off];
   }
 
  private:
+  static constexpr unsigned kFirstBits = 10;
+  static constexpr size_t kFirst = size_t{1} << kFirstBits;
+  static constexpr size_t kMaxSegments = 64 - kFirstBits;
+
+  /// The segment holding string `id`, and its offset there.
+  static std::pair<size_t, size_t> Locate(size_t id) {
+    const size_t i = id + kFirst;
+    const size_t seg = static_cast<size_t>(std::bit_width(i)) - 1 - kFirstBits;
+    SI_CHECK_LT(seg, kMaxSegments);
+    return {seg, i - (kFirst << seg)};
+  }
+
   mutable std::shared_mutex mu_;
-  std::deque<std::string> strings_;
-  std::unordered_map<std::string, int64_t> ids_;
+  std::unordered_map<std::string_view, int64_t> ids_;  ///< views into segments
+  std::atomic<std::string*> segments_[kMaxSegments] = {};
+  std::atomic<size_t> size_{0};
 };
 
 }  // namespace
@@ -66,10 +97,9 @@ std::string Value::ToString() const {
   return "\"" + AsString() + "\"";
 }
 
-bool Value::operator<(const Value& o) const {
-  if (kind_ != o.kind_) return kind_ < o.kind_;
-  if (is_int()) return payload_ < o.payload_;
-  return AsString() < o.AsString();
+bool Value::StringLess(int64_t a, int64_t b) {
+  const StringInterner& pool = StringInterner::Global();
+  return pool.Lookup(a) < pool.Lookup(b);
 }
 
 }  // namespace scalein

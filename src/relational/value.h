@@ -13,12 +13,12 @@ namespace scalein {
 /// A database constant drawn from the countably infinite domain U of the
 /// paper (§2). Two kinds are supported: 64-bit integers and interned strings.
 ///
-/// Values are 16 bytes, trivially copyable, and hash/compare in O(1): string
-/// payloads are ids into a process-wide interner, so equality never touches
-/// character data. The interner is append-only and leaked at shutdown
-/// (Google-style static storage); it takes a shared lock on reads and an
-/// exclusive lock on interning, so concurrent server evaluations can compare
-/// and render values while another thread interns.
+/// Values are 16 bytes, trivially copyable, and hash in O(1): string payloads
+/// are ids into a process-wide interner, so equality never touches character
+/// data. The interner is append-only and leaked at shutdown (Google-style
+/// static storage). Interning takes its lock; reading an interned string
+/// (`AsString`, ordering) takes none, so concurrent server evaluations
+/// compare and render values while another thread interns.
 class Value {
  public:
   enum class Kind : uint8_t { kInt = 0, kString = 1 };
@@ -51,7 +51,15 @@ class Value {
 
   /// Total order: all ints before all strings; ints by value, strings
   /// lexicographically (not by intern id, so ordering is deterministic).
-  bool operator<(const Value& o) const;
+  /// Inline for ints, mixed kinds and equal strings (same id); only two
+  /// distinct strings read characters.
+  bool operator<(const Value& o) const {
+    if (kind_ != o.kind_) return kind_ < o.kind_;
+    if (kind_ == Kind::kInt || payload_ == o.payload_) {
+      return payload_ < o.payload_;
+    }
+    return StringLess(payload_, o.payload_);
+  }
   bool operator==(const Value& o) const {
     return kind_ == o.kind_ && payload_ == o.payload_;
   }
@@ -65,6 +73,9 @@ class Value {
 
  private:
   Value(int64_t payload, Kind kind) : payload_(payload), kind_(kind) {}
+
+  /// Lexicographic order of two interned strings, by id.
+  static bool StringLess(int64_t a, int64_t b);
 
   int64_t payload_;
   Kind kind_;

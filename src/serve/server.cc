@@ -53,6 +53,11 @@ bool IsShedReason(RejectReason reason) {
   return false;
 }
 
+/// The counter of one admission action: "serve.admit" … "serve.reject".
+std::string DecidedName(AdmitAction action) {
+  return std::string("serve.") + AdmitActionName(action);
+}
+
 /// Elapsed milliseconds between two monotonic stamps; 0 when the phase
 /// never happened (either stamp unset) or the clock did not advance.
 double PhaseMs(uint64_t start_ns, uint64_t end_ns) {
@@ -63,9 +68,13 @@ double PhaseMs(uint64_t start_ns, uint64_t end_ns) {
 }  // namespace
 
 Server::Server(Shell* shell, Options options)
-    : shell_(shell), options_(std::move(options)) {
-  metrics_ = shell_->mutable_metrics();
-}
+    : shell_(shell),
+      options_(std::move(options)),
+      metrics_(shell_->mutable_metrics()),
+      decided_{{metrics_, DecidedName(AdmitAction::kAdmit)},
+               {metrics_, DecidedName(AdmitAction::kQueue)},
+               {metrics_, DecidedName(AdmitAction::kDegrade)},
+               {metrics_, DecidedName(AdmitAction::kReject)}} {}
 
 Server::~Server() { Drain(); }
 
@@ -174,9 +183,7 @@ Result<std::string> Server::CloseSession(const std::string& sid) {
 }
 
 void Server::CountDecision(const AdmissionDecision& decision) {
-  metrics_->GetCounter(std::string("serve.") +
-                       AdmitActionName(decision.action))
-      .Increment();
+  decided_[static_cast<size_t>(decision.action)].Get().Increment();
   if (decision.action == AdmitAction::kReject) {
     metrics_->GetCounter(std::string("serve.rejected.") +
                          RejectReasonName(decision.reject))
@@ -407,8 +414,8 @@ Result<std::string> Server::Submit(const std::string& sid,
   in.draining = draining_;
   AdmissionDecision decision = DecideAdmission(in, options_.sla);
   t.decided_ns = obs::MonotonicNowNs();
-  metrics_->GetHistogram("serve.admission_latency_ms")
-      .Observe(static_cast<double>(t.decided_ns - t.arrive_ns) / 1e6);
+  admission_latency_.Get().Observe(
+      static_cast<double>(t.decided_ns - t.arrive_ns) / 1e6);
   CountDecision(decision);
 
   if (decision.action == AdmitAction::kQueue) {
@@ -494,7 +501,7 @@ Result<std::string> Server::Submit(const std::string& sid,
   exec::GovernorLimits limits = env->LimitsFor(decision.sub_budget,
                                                options_.sla);
   ++running_;
-  metrics_->GetGauge("serve.running").Set(static_cast<int64_t>(running_));
+  running_gauge_.Get().Set(static_cast<int64_t>(running_));
   lock.unlock();
   t.exec_start_ns = obs::MonotonicNowNs();
   Result<ServeEvalOutcome> evaled =
@@ -502,14 +509,14 @@ Result<std::string> Server::Submit(const std::string& sid,
   t.exec_done_ns = obs::MonotonicNowNs();
   lock.lock();
   --running_;
-  metrics_->GetGauge("serve.running").Set(static_cast<int64_t>(running_));
+  running_gauge_.Get().Set(static_cast<int64_t>(running_));
   env->Refund(decision.sub_budget, evaled.ok() ? (*evaled).fetched : 0);
   cv_.notify_all();
   SI_RETURN_IF_ERROR(evaled.status());
   const ServeEvalOutcome& out = *evaled;
 
   if (out.complete) {
-    metrics_->GetCounter("serve.completed").Increment();
+    completed_.Get().Increment();
   } else if (out.trip.kind == exec::LimitKind::kCancelled) {
     metrics_->GetCounter("serve.preempted").Increment();
   }

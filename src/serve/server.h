@@ -163,7 +163,14 @@ class Server {
 
   Shell* const shell_;
   const Options options_;
-  obs::MetricsRegistry* metrics_ = nullptr;  ///< shell's registry
+  obs::MetricsRegistry* const metrics_;  ///< shell's registry
+  // serve.* series every request moves, looked up at first use and kept.
+  // decided_ is indexed by AdmitAction.
+  obs::Series<obs::Counter> decided_[4];
+  obs::Series<obs::Histogram> admission_latency_{metrics_,
+                                                 "serve.admission_latency_ms"};
+  obs::Series<obs::Gauge> running_gauge_{metrics_, "serve.running"};
+  obs::Series<obs::Counter> completed_{metrics_, "serve.completed"};
   exec::SharedLedger ledger_;  ///< server-wide fetch capacity (may stay
                                ///< unlimited)
   std::unique_ptr<AccessLog> access_log_;  ///< null = disabled

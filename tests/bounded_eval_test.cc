@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "eval/fo_evaluator.h"
+#include "exec/compiler.h"
 #include "query/parser.h"
+#include "util/failpoint.h"
 #include "util/rng.h"
 #include "workload/social_gen.h"
 
@@ -336,6 +338,292 @@ TEST_P(BoundedVsNaiveProperty, AgreeOnConformingData) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundedVsNaiveProperty,
                          ::testing::Values(101, 202, 303, 404, 505, 606, 707,
                                            808));
+
+// The VM's in-order fast paths and their fallbacks (exec/bytecode.h:
+// PlainNode::dedup_adjacent; exec/vm.cc: EMIT's end-hinted insert and the
+// probe prefetch in "and"), each against FoEvaluator. Variable ids
+// follow interning order, so each test interns its variables up front to
+// fix the layouts it needs.
+
+/// R, S, T: binary relations, each with an access statement on its first
+/// attribute.
+struct Chain {
+  Schema schema;
+  Database db{Schema{}};
+  AccessSchema access;
+
+  Chain() {
+    for (const char* name : {"R", "S", "T"}) schema.Relation(name, {"a", "b"});
+    db = Database(schema);
+    for (const char* name : {"R", "S", "T"}) access.Add(name, {"a"}, 1000);
+  }
+  void Add(const char* rel, int64_t a, int64_t b) {
+    db.Insert(rel, Tuple{Value::Int(a), Value::Int(b)});
+  }
+  void BuildIndexes() { SI_CHECK(access.BuildIndexes(&db, schema).ok()); }
+};
+
+std::shared_ptr<const exec::CompiledProgram> Compile(
+    const FoQuery& q, const Schema& s, const AccessSchema& a,
+    const VarSet& params) {
+  auto analysis = std::make_shared<const ControllabilityAnalysis>(
+      Analyze(q, s, a));
+  Result<std::shared_ptr<const exec::CompiledProgram>> program =
+      exec::CompilePlain(q, analysis, params);
+  SI_CHECK_MSG(program.ok(), program.status().message().c_str());
+  return *std::move(program);
+}
+
+const exec::PlainNode* FindNode(const exec::CompiledProgram& p,
+                                ControlRule rule) {
+  for (const exec::PlainNode& node : p.nodes) {
+    if (node.rule == rule) return &node;
+  }
+  return nullptr;
+}
+
+TEST(BoundedFastPathTest, AnswersMatchWhetherOrNotTheHeadIsTheRootLayout) {
+  V("ho_a");
+  V("ho_b");  // interned after ho_a: the root layout is (ho_a, ho_b)
+  Chain c;
+  c.Add("R", 1, 10);
+  c.Add("R", 1, 11);
+  c.Add("S", 10, 200);
+  c.Add("S", 10, 100);
+  c.Add("S", 11, 150);
+  c.BuildIndexes();
+  const Binding params{{V("x"), Value::Int(1)}};
+  for (const char* text :
+       {"Q(x, ho_a, ho_b) := R(x, ho_a) and S(ho_a, ho_b)",
+        "Q(x, ho_b, ho_a) := R(x, ho_a) and S(ho_a, ho_b)"}) {
+    FoQuery q = FQ(text, c.schema);
+    auto program = Compile(q, c.schema, c.access, {V("x")});
+    EXPECT_EQ(program->nodes[0].layout.size(), 2u) << text;
+    Result<AnswerSet> fast = BoundedEvaluator(&c.db).Evaluate(*program, params);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    EXPECT_EQ(*fast, FoEvaluator(&c.db).Evaluate(q, params)) << text;
+    EXPECT_EQ(fast->size(), 3u) << text;
+  }
+}
+
+TEST(BoundedFastPathTest, ExistsSortsUnlessItsLayoutPrefixesTheBody) {
+  // ex_q before ex_f: the body's layout (ex_q, ex_f) does not start with
+  // the exists' (ex_f), so its rows are not sorted on it and must be sorted.
+  // ey_f before ey_q: (ey_f) prefixes (ey_f, ey_q), so adjacent dedup.
+  V("ex_q");
+  V("ex_f");
+  V("ey_f");
+  V("ey_q");
+  Chain c;
+  c.Add("R", 1, 1);
+  c.Add("R", 1, 2);
+  c.Add("R", 1, 3);
+  c.Add("S", 1, 30);  // body rows on (q, f): (1,30) (2,10) (3,30)
+  c.Add("S", 2, 10);
+  c.Add("S", 3, 30);
+  c.Add("T", 10, 7);
+  c.Add("T", 30, 8);
+  c.BuildIndexes();
+  const Binding params{{V("x"), Value::Int(1)}};
+  for (const char* text :
+       {"Q(x, ex_f, v) := (exists ex_q. R(x, ex_q) and S(ex_q, ex_f)) and "
+        "T(ex_f, v)",
+        "Q(x, ey_f, v) := (exists ey_q. R(x, ey_q) and S(ey_q, ey_f)) and "
+        "T(ey_f, v)"}) {
+    FoQuery q = FQ(text, c.schema);
+    auto program = Compile(q, c.schema, c.access, {V("x")});
+    const exec::PlainNode* exists = FindNode(*program, ControlRule::kExists);
+    ASSERT_NE(exists, nullptr) << text;
+    EXPECT_EQ(exists->dedup_adjacent, std::string(text).find("ey_") !=
+                                          std::string::npos)
+        << text;
+    BoundedEvalStats stats;
+    stats.capture_ops = true;
+    Result<AnswerSet> fast =
+        BoundedEvaluator(&c.db).Evaluate(*program, params, &stats);
+    ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+    EXPECT_EQ(*fast, FoEvaluator(&c.db).Evaluate(q, params)) << text;
+    // Two distinct f values leave the exists, so T is probed twice: R once,
+    // S three times, T twice.
+    EXPECT_EQ(stats.index_lookups, 6u) << text;
+    EXPECT_EQ(stats.ops[exists->op_idx].rows_out, 2u) << text;
+  }
+}
+
+TEST(BoundedFastPathTest, StringAnswersInternedOutOfOrderEmitSorted) {
+  for (const char* name : {"zeta$fp", "alpha$fp", "mid$fp"}) Value::Str(name);
+  Schema s;
+  s.Relation("knows", {"a", "b"});
+  s.Relation("named", {"id", "name"});
+  Database db(s);
+  for (int64_t id : {2, 3, 4, 5}) {
+    db.Insert("knows", Tuple{Value::Int(1), Value::Int(id)});
+  }
+  db.Insert("named", Tuple{Value::Int(2), Value::Str("zeta$fp")});
+  db.Insert("named", Tuple{Value::Int(3), Value::Str("alpha$fp")});
+  db.Insert("named", Tuple{Value::Int(4), Value::Str("mid$fp")});
+  db.Insert("named", Tuple{Value::Int(5), Value::Str("zeta$fp")});
+  AccessSchema access;
+  access.Add("knows", {"a"}, 10);
+  access.Add("named", {"id"}, 1);
+  ASSERT_TRUE(access.BuildIndexes(&db, s).ok());
+  FoQuery q = FQ("Q(x, fp_name) := exists fp_id. knows(x, fp_id) and "
+                 "named(fp_id, fp_name)",
+                 s);
+  auto program = Compile(q, s, access, {V("x")});
+  ASSERT_NE(FindNode(*program, ControlRule::kExists), nullptr);
+  EXPECT_TRUE(FindNode(*program, ControlRule::kExists)->dedup_adjacent);
+  const Binding params{{V("x"), Value::Int(1)}};
+  Result<AnswerSet> fast = BoundedEvaluator(&db).Evaluate(*program, params);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  EXPECT_EQ(*fast, FoEvaluator(&db).Evaluate(q, params));
+  std::vector<std::string> names;
+  for (const Tuple& t : *fast) names.push_back(t[0].AsString());
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"alpha$fp", "mid$fp", "zeta$fp"}));
+}
+
+TEST(BoundedFastPathTest, RowCapKeepsTheFirstAnswersInRowOrder) {
+  V("rc_a");
+  V("rc_b");  // interned after rc_a: the root layout is (rc_a, rc_b)
+  Chain c;
+  for (int64_t a : {10, 11, 12}) c.Add("R", 1, a);
+  c.Add("S", 10, 100);  // root rows on (a, b): (10,50) (10,100) (11,70)
+  c.Add("S", 10, 50);   //                      (12,5) (12,60)
+  c.Add("S", 11, 70);
+  c.Add("S", 12, 60);
+  c.Add("S", 12, 5);
+  c.BuildIndexes();
+  // The same rows projected in the root's order and reversed: reversed, the
+  // answers arrive out of set order, and the tripping answer (60, 12) lands
+  // between survivors.
+  FoQuery same = FQ("Q(x, rc_a, rc_b) := R(x, rc_a) and S(rc_a, rc_b)",
+                    c.schema);
+  FoQuery reversed = FQ("Q(x, rc_b, rc_a) := R(x, rc_a) and S(rc_a, rc_b)",
+                        c.schema);
+  BoundedEvaluator evaluator(&c.db);
+  exec::GovernorLimits limits;
+  limits.output_row_cap = 4;
+  evaluator.set_limits(limits);
+  const Binding params{{V("x"), Value::Int(1)}};
+  Result<exec::Degraded<AnswerSet>> in_order = evaluator.EvaluateDegraded(
+      *Compile(same, c.schema, c.access, {V("x")}), params);
+  Result<exec::Degraded<AnswerSet>> out_of_order = evaluator.EvaluateDegraded(
+      *Compile(reversed, c.schema, c.access, {V("x")}), params);
+  ASSERT_TRUE(in_order.ok() && out_of_order.ok());
+  const auto t = [](int64_t a, int64_t b) {
+    return Tuple{Value::Int(a), Value::Int(b)};
+  };
+  EXPECT_EQ(in_order->value,
+            (AnswerSet{t(10, 50), t(10, 100), t(11, 70), t(12, 5)}));
+  EXPECT_EQ(out_of_order->value,
+            (AnswerSet{t(50, 10), t(100, 10), t(70, 11), t(5, 12)}));
+  for (const auto* r : {&*in_order, &*out_of_order}) {
+    EXPECT_FALSE(r->complete);
+    EXPECT_EQ(r->base_tuples_fetched, 8u);
+  }
+  EXPECT_EQ(in_order->trip.ToString(), out_of_order->trip.ToString());
+  // Uncapped, both match the reference.
+  BoundedEvaluator uncapped(&c.db);
+  for (const FoQuery* q : {&same, &reversed}) {
+    Result<AnswerSet> all = uncapped.Evaluate(
+        *Compile(*q, c.schema, c.access, {V("x")}), params);
+    ASSERT_TRUE(all.ok()) << all.status().ToString();
+    EXPECT_EQ(*all, FoEvaluator(&c.db).Evaluate(*q, params));
+    EXPECT_EQ(all->size(), 5u);
+  }
+}
+
+/// "Q(x, pb) := exists pa. R(x, pa) and S(pa, pb)": one R probe, then one
+/// S probe per R row, prefetched as a batch.
+FoQuery TwoHop(const Chain& c) {
+  return FQ("Q(x, pf_b) := exists pf_a. R(x, pf_a) and S(pf_a, pf_b)",
+            c.schema);
+}
+
+TEST(BoundedFastPathTest, PrefetchSkipsAnIndexThatDoesNotExistYet) {
+  Chain c;
+  for (int64_t a : {10, 11, 12}) c.Add("R", 1, a);
+  c.Add("S", 10, 100);
+  c.Add("S", 11, 110);
+  c.Add("S", 11, 111);
+  FoQuery q = TwoHop(c);
+  auto program = Compile(q, c.schema, c.access, {V("x")});
+  ASSERT_EQ(c.db.relation("S").FindIndex({0}), nullptr);
+  const Binding params{{V("x"), Value::Int(1)}};
+  BoundedEvalStats stats;
+  Result<AnswerSet> fast =
+      BoundedEvaluator(&c.db).Evaluate(*program, params, &stats);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  EXPECT_NE(c.db.relation("S").FindIndex({0}), nullptr);  // built on probe
+  EXPECT_EQ(*fast, FoEvaluator(&c.db).Evaluate(q, params));
+  EXPECT_EQ(stats.index_lookups, 4u);
+  EXPECT_EQ(stats.base_tuples_fetched, 6u);
+}
+
+TEST(BoundedFastPathTest, PrefetchOverAnEmptyRelation) {
+  Chain c;
+  for (int64_t a : {10, 11, 12}) c.Add("R", 1, a);
+  c.BuildIndexes();  // S's index exists and is empty
+  FoQuery q = TwoHop(c);
+  auto program = Compile(q, c.schema, c.access, {V("x")});
+  const Binding params{{V("x"), Value::Int(1)}};
+  BoundedEvalStats stats;
+  Result<AnswerSet> fast =
+      BoundedEvaluator(&c.db).Evaluate(*program, params, &stats);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  EXPECT_TRUE(fast->empty());
+  EXPECT_EQ(*fast, FoEvaluator(&c.db).Evaluate(q, params));
+  EXPECT_EQ(stats.index_lookups, 4u);
+  EXPECT_EQ(stats.base_tuples_fetched, 3u);
+  EXPECT_EQ(stats.fetched_by_relation.at("S"), 0u);
+}
+
+TEST(BoundedFastPathTest, PrefetchLeavesTheProbeFailpointToEveryProbe) {
+  Chain c;
+  for (int64_t a : {10, 11, 12}) c.Add("R", 1, a);
+  c.Add("S", 10, 100);
+  c.Add("S", 11, 110);
+  c.Add("S", 12, 120);
+  c.BuildIndexes();
+  FoQuery q = TwoHop(c);
+  auto program = Compile(q, c.schema, c.access, {V("x")});
+  util::Failpoints& fp = util::Failpoints::Global();
+  ASSERT_TRUE(fp.Configure("index_probe=error(every:3)").ok());
+  BoundedEvalStats stats;
+  Result<AnswerSet> fast = BoundedEvaluator(&c.db).Evaluate(
+      *program, {{V("x"), Value::Int(1)}}, &stats);
+  const uint64_t hits = fp.hits();
+  fp.Clear();
+  ASSERT_FALSE(fast.ok());
+  EXPECT_NE(fast.status().message().find("index_probe"), std::string::npos)
+      << fast.status().ToString();
+  // The prefetch of the three S probes hit nothing: the third probe (the
+  // second S probe) fired, after one R probe of 3 rows and one S probe.
+  EXPECT_EQ(hits, 3u);
+  EXPECT_EQ(stats.index_lookups, 2u);
+  EXPECT_EQ(stats.base_tuples_fetched, 4u);
+}
+
+TEST(BoundedFastPathTest, PrefetchBatchesAgreeWithTheReference) {
+  Chain c;
+  for (int64_t a = 0; a < 300; ++a) {
+    c.Add("R", 1, a);
+    if (a % 2 == 0) c.Add("S", a, 1000 + a);
+    if (a % 3 == 0) c.Add("S", a, 2000 + a);
+  }
+  c.BuildIndexes();
+  FoQuery q = TwoHop(c);
+  auto program = Compile(q, c.schema, c.access, {V("x")});
+  const Binding params{{V("x"), Value::Int(1)}};
+  BoundedEvalStats stats;
+  Result<AnswerSet> fast =
+      BoundedEvaluator(&c.db).Evaluate(*program, params, &stats);
+  ASSERT_TRUE(fast.ok()) << fast.status().ToString();
+  EXPECT_EQ(*fast, FoEvaluator(&c.db).Evaluate(q, params));
+  EXPECT_EQ(stats.index_lookups, 301u);
+  EXPECT_EQ(stats.base_tuples_fetched, 300u + 150u + 100u);
+}
 
 }  // namespace
 }  // namespace scalein
