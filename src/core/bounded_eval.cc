@@ -26,209 +26,131 @@ Result<std::shared_ptr<const exec::CompiledProgram>> CompileFor(
   return exec::CompilePlain(q, Borrow(analysis), BoundVariables(params));
 }
 
-Status CheckPlain(const exec::CompiledProgram& program, const Binding& params) {
-  if (program.kind != exec::CompiledProgram::Kind::kPlain) {
-    return Status::InvalidArgument("expected a plain compiled program");
-  }
-  return exec::CheckProgramParams(program, params);
+/// A non-degraded entry's result: the answers, or the failure (a governor
+/// trip included) as its status.
+Result<AnswerSet> Answers(Result<exec::Degraded<AnswerSet>> run) {
+  if (!run.ok()) return run.status();
+  return std::move(run->value);
 }
 
 }  // namespace
 
-Result<AnswerSet> BoundedEvaluator::Evaluate(
-    const FoQuery& q, const ControllabilityAnalysis& analysis,
-    const Binding& params, BoundedEvalStats* stats) const {
-  SI_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CompiledProgram> program,
-                      CompileFor(q, analysis, params));
-  return Evaluate(*program, params, stats);
-}
+/// What tells the entry points apart; everything else is one body.
+struct EvalEntry {
+  const char* span;   ///< span name (wirebench times the degraded one)
+  const char* event;  ///< flight-event label
+  /// A degraded entry always registers ops, so that a trip's snapshot names
+  /// the node or chase step that was executing; it records a query-start
+  /// event as well as the finish, and returns a trip as a partial result.
+  bool degraded;
+};
 
-Result<AnswerSet> BoundedEvaluator::Evaluate(
-    const exec::CompiledProgram& program, const Binding& params,
-    BoundedEvalStats* stats) const {
-  // The span covers the whole call: the parameter check, and the context
+namespace {
+
+constexpr EvalEntry kEvaluate{"bounded.evaluate", "bounded.eval", false};
+constexpr EvalEntry kEvaluateDegraded{"bounded.evaluate_degraded",
+                                      "bounded.evaluate_degraded", true};
+constexpr EvalEntry kEvaluateEmbedded{"bounded.evaluate_embedded",
+                                      "bounded.evaluate_embedded", false};
+constexpr EvalEntry kEvaluateEmbeddedDegraded{
+    "bounded.evaluate_embedded_degraded", "bounded.evaluate_embedded_degraded",
+    true};
+
+}  // namespace
+
+Result<exec::Degraded<AnswerSet>> BoundedEvaluator::Run(
+    const ProgramOrError& program, const Binding& params,
+    const EvalEntry& entry, BoundedEvalStats* stats) const {
+  // The span covers the whole run: the parameter check, and the context
   // built before the walk and torn down after it.
-  obs::ScopedSpan span(obs::Tracer::Global(), "bounded.evaluate", "core");
-  SI_RETURN_IF_ERROR(CheckPlain(program, params));
+  obs::ScopedSpan span(obs::Tracer::Global(), entry.span, "core");
+  const double bound = program.ok() ? (*program)->static_bound : -1.0;
+  // Flight events take the compact append path: a plain Evaluate is the
+  // µs-scale hot path the 3% governor gate times, so it records one event
+  // and builds no strings.
+  if (entry.degraded && obs::FlightRecorderEnabled()) {
+    obs::RecordFlightNums(obs::EventKind::kQueryStart, entry.event,
+                          {{"static_bound", bound}});
+  }
   exec::ExecContext ctx(db_);
   ctx.set_limits(limits_);  // per-evaluation resource envelope
   ctx.set_timing_enabled(collect_timing_);
-  exec::PlainRows rows;
-  exec::RunPlain(program, *db_, enforce_bounds_, params,
-                 collect_timing_ || (stats != nullptr && stats->capture_ops),
-                 &ctx, &rows);
+  exec::Degraded<AnswerSet> out;
+  if (Status st = program.ok() ? exec::CheckProgramParams(**program, params)
+                               : program.status();
+      !st.ok()) {
+    ctx.SetError(std::move(st));
+  } else {
+    exec::Run(**program, *db_, enforce_bounds_, params,
+              entry.degraded || collect_timing_ ||
+                  (stats != nullptr && stats->capture_ops),
+              &ctx, &out.value);
+  }
   if (span.enabled()) {
     span.Arg("fetched", ctx.base_tuples_fetched());
-    span.Arg("static_bound", program.static_bound);
+    span.Arg("static_bound", bound);
+    span.Arg("tripped", ctx.trip().tripped());
   }
   if (stats != nullptr) {
-    stats->static_bound = program.static_bound;
+    if (program.ok()) stats->static_bound = bound;
     stats->Accumulate(ctx);
   }
   if (obs::FlightRecorderEnabled()) {
-    // One compact event for the whole evaluation: this is the µs-scale hot
-    // path gated at 3% recorder-on overhead, so no start/finish pair and no
-    // string-building arg path ("bounded.eval" stays in the SSO buffer).
     obs::RecordFlightNums(
-        obs::EventKind::kQueryFinish, "bounded.eval",
+        obs::EventKind::kQueryFinish, entry.event,
         {{"fetched", static_cast<double>(ctx.base_tuples_fetched())},
-         {"static_bound", program.static_bound},
+         {"static_bound", bound},
          {"tripped", ctx.trip().tripped() ? 1.0 : 0.0}});
   }
-  SI_RETURN_IF_ERROR(ctx.status());
-  AnswerSet answers;
-  exec::EmitPlainAnswers(program, rows, &ctx, &answers);
-  SI_RETURN_IF_ERROR(ctx.status());
-  return answers;
+  out.base_tuples_fetched = ctx.base_tuples_fetched();
+  out.index_lookups = ctx.index_lookups();
+  if (ctx.ok()) return out;
+  // Only governor trips degrade; other failures stay errors.
+  if (!entry.degraded || !ctx.trip().tripped()) return ctx.status();
+  out.complete = false;
+  out.trip = ctx.trip();
+  out.ops = ctx.SnapshotOps();
+  return out;
+}
+
+Result<AnswerSet> BoundedEvaluator::Evaluate(
+    const FoQuery& q, const ControllabilityAnalysis& analysis,
+    const Binding& params, BoundedEvalStats* stats) const {
+  return Answers(Run(CompileFor(q, analysis, params), params, kEvaluate, stats));
+}
+
+Result<AnswerSet> BoundedEvaluator::Evaluate(
+    const exec::CompiledProgram& program, const Binding& params,
+    BoundedEvalStats* stats) const {
+  return Answers(Run(Borrow(program), params, kEvaluate, stats));
 }
 
 Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
     const FoQuery& q, const ControllabilityAnalysis& analysis,
     const Binding& params, BoundedEvalStats* stats) const {
-  SI_ASSIGN_OR_RETURN(std::shared_ptr<const exec::CompiledProgram> program,
-                      CompileFor(q, analysis, params));
-  return EvaluateDegraded(*program, params, stats);
+  return Run(CompileFor(q, analysis, params), params, kEvaluateDegraded, stats);
 }
 
 Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateDegraded(
     const exec::CompiledProgram& program, const Binding& params,
     BoundedEvalStats* stats) const {
-  // As in Evaluate, the span covers the whole call.
-  obs::ScopedSpan span(obs::Tracer::Global(), "bounded.evaluate_degraded",
-                       "core");
-  SI_RETURN_IF_ERROR(CheckPlain(program, params));
-  exec::ExecContext ctx(db_);
-  ctx.set_limits(limits_);
-  ctx.set_timing_enabled(collect_timing_);
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(
-        obs::EventKind::kQueryStart, "bounded.evaluate_degraded",
-        {obs::EventArg("static_bound", program.static_bound)});
-  }
-  // Ops are always registered here so that a trip's snapshot can name the
-  // derivation node that was executing when the limit fired.
-  exec::PlainRows rows;
-  exec::RunPlain(program, *db_, enforce_bounds_, params, /*register_ops=*/true,
-                 &ctx, &rows);
-  if (span.enabled()) {
-    span.Arg("fetched", ctx.base_tuples_fetched());
-    span.Arg("static_bound", program.static_bound);
-    span.Arg("tripped", ctx.trip().tripped());
-  }
-  if (stats != nullptr) {
-    stats->static_bound = program.static_bound;
-    stats->Accumulate(ctx);
-  }
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(
-        obs::EventKind::kQueryFinish, "bounded.evaluate_degraded",
-        {obs::EventArg("fetched", ctx.base_tuples_fetched()),
-         obs::EventArg("static_bound", program.static_bound),
-         obs::EventArg("tripped", ctx.trip().tripped())});
-  }
-
-  exec::Degraded<AnswerSet> out;
-  // Rows that survived the full derivation are sound answers even when the
-  // walk was cut short (subtrees abandoned mid-derivation return no rows
-  // rather than unchecked ones). Projection runs before the trip check
-  // because the output-row cap trips *here*: the first cap distinct answers
-  // are kept and the tripping answer is withdrawn, so a row-capped degraded
-  // result is the same on every run.
-  exec::EmitPlainAnswers(program, rows, &ctx, &out.value);
-  out.base_tuples_fetched = ctx.base_tuples_fetched();
-  out.index_lookups = ctx.index_lookups();
-  if (!ctx.ok()) {
-    // Only governor trips degrade; other failures stay errors.
-    if (!ctx.trip().tripped()) return ctx.status();
-    out.complete = false;
-    out.trip = ctx.trip();
-    out.ops = ctx.SnapshotOps();
-  }
-  return out;
+  return Run(Borrow(program), params, kEvaluateDegraded, stats);
 }
 
 Result<AnswerSet> BoundedEvaluator::EvaluateEmbedded(
     const EmbeddedCqAnalysis& analysis, const Binding& params,
     BoundedEvalStats* stats) const {
-  const ProgramOrError program = exec::CompileEmbedded(Borrow(analysis));
-  exec::ExecContext ctx(db_);
-  ctx.set_limits(limits_);  // per-evaluation resource envelope
-  ctx.set_timing_enabled(collect_timing_);
-  obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate_embedded", "core");
-  Result<AnswerSet> result =
-      RunEmbedded(program, params,
-                  collect_timing_ || (stats != nullptr && stats->capture_ops),
-                  &ctx);
-  if (span.enabled()) span.Arg("fetched", ctx.base_tuples_fetched());
-  if (stats != nullptr) {
-    if (program.ok()) stats->static_bound = (*program)->static_bound;
-    stats->Accumulate(ctx);
-  }
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(
-        obs::EventKind::kQueryFinish, "bounded.evaluate_embedded",
-        {obs::EventArg("fetched", ctx.base_tuples_fetched()),
-         obs::EventArg("ok", result.ok())});
-  }
-  return result;
-}
-
-Result<AnswerSet> BoundedEvaluator::RunEmbedded(const ProgramOrError& program,
-                                                const Binding& params,
-                                                bool register_ops,
-                                                exec::ExecContext* ctx) const {
-  SI_RETURN_IF_ERROR(program.status());
-  SI_RETURN_IF_ERROR(exec::CheckProgramParams(**program, params));
-  return exec::RunEmbedded(**program, *db_, enforce_bounds_, params,
-                           register_ops, ctx);
+  return Answers(Run(exec::CompileEmbedded(Borrow(analysis)), params,
+                     kEvaluateEmbedded, stats));
 }
 
 Result<exec::Degraded<AnswerSet>> BoundedEvaluator::EvaluateEmbeddedDegraded(
     const EmbeddedCqAnalysis& analysis, const Binding& params,
     BoundedEvalStats* stats, bool fallback_to_approx) const {
-  const ProgramOrError program = exec::CompileEmbedded(Borrow(analysis));
-  exec::ExecContext ctx(db_);
-  ctx.set_limits(limits_);
-  ctx.set_timing_enabled(collect_timing_);
-  obs::ScopedSpan span(ctx.tracer(), "bounded.evaluate_embedded_degraded",
-                       "core");
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(obs::EventKind::kQueryStart,
-                           "bounded.evaluate_embedded_degraded");
-  }
-  // Capture ops unconditionally so a trip names the chase step it hit.
-  Result<AnswerSet> result =
-      RunEmbedded(program, params, /*register_ops=*/true, &ctx);
-  if (span.enabled()) {
-    span.Arg("fetched", ctx.base_tuples_fetched());
-    span.Arg("tripped", ctx.trip().tripped());
-  }
-  if (stats != nullptr) {
-    if (program.ok()) stats->static_bound = (*program)->static_bound;
-    stats->Accumulate(ctx);
-  }
-  if (obs::FlightRecorderEnabled()) {
-    obs::RecordFlightEvent(
-        obs::EventKind::kQueryFinish, "bounded.evaluate_embedded_degraded",
-        {obs::EventArg("fetched", ctx.base_tuples_fetched()),
-         obs::EventArg("tripped", ctx.trip().tripped())});
-  }
-
-  exec::Degraded<AnswerSet> out;
-  out.base_tuples_fetched = ctx.base_tuples_fetched();
-  out.index_lookups = ctx.index_lookups();
-  if (result.ok() && ctx.ok()) {
-    out.value = std::move(result).ValueOrDie();
-    return out;
-  }
-  if (!ctx.trip().tripped()) {
-    // Genuine failure (failpoint, bound violation, bad arguments).
-    return result.ok() ? ctx.status() : result.status();
-  }
-  out.complete = false;
-  out.trip = ctx.trip();
-  out.ops = ctx.SnapshotOps();
-  if (fallback_to_approx && limits_.fetch_budget > 0 &&
+  SI_ASSIGN_OR_RETURN(exec::Degraded<AnswerSet> out,
+                      Run(exec::CompileEmbedded(Borrow(analysis)), params,
+                          kEvaluateEmbeddedDegraded, stats));
+  if (!out.complete && fallback_to_approx && limits_.fetch_budget > 0 &&
       analysis.IsScaleIndependent()) {
     // PIQL-style success tolerance: re-answer the (parameter-substituted)
     // CQ with the greedy budgeted engine under the same budget M. Every

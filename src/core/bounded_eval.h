@@ -42,12 +42,6 @@ struct BoundedEvalStats {
   /// Theorem 4.2 / Proposition 4.5 M); negative until an evaluation ran.
   double static_bound = -1.0;
 
-  void Count(const std::string& relation, uint64_t tuples) {
-    ++index_lookups;
-    base_tuples_fetched += tuples;
-    fetched_by_relation[relation] += tuples;
-  }
-
   /// Folds one finished evaluation's context counters into this object.
   void Accumulate(const exec::ExecContext& ctx) {
     base_tuples_fetched += ctx.base_tuples_fetched();
@@ -65,6 +59,8 @@ struct BoundedEvalStats {
 namespace exec {
 struct CompiledProgram;
 }  // namespace exec
+
+struct EvalEntry;
 
 /// The constructive content of Theorem 4.2: executes a controllability
 /// derivation, fetching data only through the access paths the derivation's
@@ -90,15 +86,10 @@ class BoundedEvaluator {
   /// fails with ResourceExhausted (the database does not conform to A).
   void set_enforce_bounds(bool enforce) { enforce_bounds_ = enforce; }
 
-  /// Hard per-evaluation cap on base tuples fetched — the paper's M as "the
-  /// capacity of our available resources". 0 disables (default). When the
-  /// running fetch count would exceed the budget, evaluation stops with
-  /// ResourceExhausted instead of touching more data.
-  void set_fetch_budget(uint64_t budget) { limits_.fetch_budget = budget; }
-
-  /// Full per-evaluation resource envelope (fetch budget, deadline, output
-  /// cap, cancellation), armed on each evaluation's fresh ExecContext.
-  /// Supersedes set_fetch_budget when both are used.
+  /// Per-evaluation resource envelope, armed on each evaluation's fresh
+  /// ExecContext: the fetch budget (the paper's M as "the capacity of our
+  /// available resources"; past it evaluation stops with ResourceExhausted
+  /// instead of touching more data), deadline, output cap, cancellation.
   void set_limits(const exec::GovernorLimits& limits) { limits_ = limits; }
   const exec::GovernorLimits& limits() const { return limits_; }
 
@@ -116,8 +107,8 @@ class BoundedEvaluator {
                              const Binding& params,
                              BoundedEvalStats* stats = nullptr) const;
 
-  /// Evaluates a compiled plain program; `params` must bind exactly the
-  /// parameter set it was compiled for.
+  /// Evaluates a compiled program (plain, or an embedded chase plan);
+  /// `params` must bind exactly the parameter set it was compiled for.
   Result<AnswerSet> Evaluate(const exec::CompiledProgram& program,
                              const Binding& params,
                              BoundedEvalStats* stats = nullptr) const;
@@ -131,7 +122,7 @@ class BoundedEvaluator {
       const FoQuery& q, const ControllabilityAnalysis& analysis,
       const Binding& params, BoundedEvalStats* stats = nullptr) const;
 
-  /// Degradation-aware evaluation of a compiled plain program.
+  /// Degradation-aware evaluation of a compiled program.
   Result<exec::Degraded<AnswerSet>> EvaluateDegraded(
       const exec::CompiledProgram& program, const Binding& params,
       BoundedEvalStats* stats = nullptr) const;
@@ -155,9 +146,16 @@ class BoundedEvaluator {
  private:
   using ProgramOrError = Result<std::shared_ptr<const exec::CompiledProgram>>;
 
-  Result<AnswerSet> RunEmbedded(const ProgramOrError& program,
-                                const Binding& params, bool register_ops,
-                                exec::ExecContext* ctx) const;
+  /// The one evaluation body behind every entry point: checks `params`
+  /// against the program, runs it with exec::Run on a fresh context, folds
+  /// the context into `stats`, and records the entry's span and flight
+  /// events. A governor trip degrades (complete = false) only for a
+  /// degraded entry; every other failure, and any trip of a non-degraded
+  /// entry, is the returned status.
+  Result<exec::Degraded<AnswerSet>> Run(const ProgramOrError& program,
+                                        const Binding& params,
+                                        const EvalEntry& entry,
+                                        BoundedEvalStats* stats) const;
 
   Database* db_;
   bool enforce_bounds_ = false;

@@ -3,7 +3,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/failpoint.h"
 
 namespace scalein::exec {
 
@@ -36,14 +35,15 @@ uint64_t* ExecContext::RelationSlot(const std::string& name) {
   return &fetched_by_relation_[name];
 }
 
-void ExecContext::ChargeIndexLookup(const std::string& relation,
-                                    uint64_t tuples, OpCounters* op) {
-  ChargeProbe(RelationSlot(relation), tuples, op);
+void ExecContext::BindIndex(AccessPath* path) {
+  path->index = &path->rel->EnsureIndex(*path->positions);
+  path->fetched = RelationSlot(*path->name);
 }
 
-void ExecContext::ChargeScan(const std::string& relation, uint64_t tuples,
-                             OpCounters* op) {
-  ChargeRows(RelationSlot(relation), tuples, op);
+void ExecContext::BindProjection(AccessPath* path) {
+  path->projection =
+      &path->rel->EnsureProjectionIndex(*path->positions, *path->values);
+  path->fetched = RelationSlot(*path->name);
 }
 
 void ExecContext::SetError(Status s) {
@@ -92,34 +92,8 @@ std::string ExecContext::DebugString() const {
 const std::vector<uint32_t>* MeteredIndexLookup(
     ExecContext* ctx, const std::string& name, const Relation& rel,
     const std::vector<size_t>& positions, const Tuple& key, OpCounters* op) {
-  if (Status s = SCALEIN_FAILPOINT("index_probe"); !s.ok()) {
-    ctx->SetError(std::move(s));
-    return nullptr;
-  }
-  const std::vector<uint32_t>* rows = rel.EnsureIndex(positions).Lookup(key);
-  ctx->ChargeIndexLookup(name, rows == nullptr ? 0 : rows->size(), op);
-  return rows;
-}
-
-std::vector<Tuple> MeteredProjectionLookup(
-    ExecContext* ctx, const std::string& name, const Relation& rel,
-    const std::vector<size_t>& key_positions,
-    const std::vector<size_t>& value_positions, const Tuple& key,
-    OpCounters* op) {
-  if (Status s = SCALEIN_FAILPOINT("index_probe"); !s.ok()) {
-    ctx->SetError(std::move(s));
-    return {};
-  }
-  const ProjectionIndex& index =
-      rel.EnsureProjectionIndex(key_positions, value_positions);
-  std::vector<Tuple> projections = index.Lookup(key);
-  ctx->ChargeIndexLookup(name, projections.size(), op);
-  return projections;
-}
-
-void ChargeFullAccess(ExecContext* ctx, const std::string& name,
-                      const Relation& rel, OpCounters* op) {
-  ctx->ChargeIndexLookup(name, rel.size(), op);
+  AccessPath path = AccessPath::Index(name, &rel, positions);
+  return ctx->Probe(&path, key, op);
 }
 
 }  // namespace scalein::exec

@@ -10,6 +10,7 @@
 #include "exec/governor.h"
 #include "obs/correlation.h"
 #include "relational/database.h"
+#include "util/failpoint.h"
 #include "util/status.h"
 
 namespace scalein::obs {
@@ -40,6 +41,45 @@ struct OpCounters {
   double static_bound = -1.0;
 };
 
+/// One access statement's path through one evaluation: an access method in
+/// Amarilli–Benedikt's sense, held as a bound object instead of a relation
+/// name looked up on every call. The caller says what the path reads: the
+/// relation under its accounting name and the probed positions X (for an
+/// embedded statement X[Y], also the projected positions Y). ExecContext's
+/// probe calls bind the rest at the path's first probe, after the
+/// `index_probe` failpoint: the index, built on demand, and the relation's
+/// fetch slot. So an index is built, and a relation enters
+/// fetched_by_relation(), at the path's first charge; a probe that fails at
+/// the failpoint binds nothing. A path lives for one
+/// evaluation, never in a shared program: a cached program outlives the
+/// relations a `row` or `load` replaces. The pointers it names must outlive
+/// it (they point into a compiled program or an operator's members).
+struct AccessPath {
+  /// A hash-index path on `positions`.
+  static AccessPath Index(const std::string& name, const Relation* rel,
+                          const std::vector<size_t>& positions) {
+    return AccessPath{&name, rel, &positions, nullptr};
+  }
+  /// A projection path: the distinct `values` projections of the rows
+  /// matching a key on `positions`.
+  static AccessPath Projection(const std::string& name, const Relation* rel,
+                               const std::vector<size_t>& positions,
+                               const std::vector<size_t>& values) {
+    return AccessPath{&name, rel, &positions, &values};
+  }
+
+  // What the path reads.
+  const std::string* name = nullptr;
+  const Relation* rel = nullptr;
+  const std::vector<size_t>* positions = nullptr;  ///< X (any order)
+  const std::vector<size_t>* values = nullptr;     ///< Y; projection paths
+
+  // Bound at the first probe.
+  const HashIndex* index = nullptr;
+  const ProjectionIndex* projection = nullptr;
+  uint64_t* fetched = nullptr;  ///< the relation's fetch slot
+};
+
 /// Shared state of one physical evaluation: the database (with optional
 /// per-relation content overrides, used by the incremental engine to make a
 /// base-relation name stand for ∆R/∇R), the universal fetch accounting the
@@ -67,17 +107,6 @@ class ExecContext {
 
   /// The relation `name` resolves to, honoring overrides; nullptr if unknown.
   const Relation* Resolve(const std::string& name) const;
-
-  /// Hard cap on base tuples fetched during this context's lifetime; 0
-  /// disables (default). Exceeding it sets a ResourceExhausted status.
-  /// Shorthand for arming the governor with only a fetch budget (other armed
-  /// limits are preserved).
-  void set_fetch_budget(uint64_t budget) {
-    GovernorLimits limits = governor_.limits();
-    limits.fetch_budget = budget;
-    governor_.Arm(limits);
-  }
-  uint64_t fetch_budget() const { return governor_.limits().fetch_budget; }
 
   // --- Resource governor (the unified run-time limits) ---
 
@@ -126,7 +155,7 @@ class ExecContext {
   /// When enabled *before planning*, operators record per-op Open/Next wall
   /// time into their OpCounters (EXPLAIN ANALYZE's timing column). Off by
   /// default so the pull loop stays a branch-on-null away from the untimed
-  /// path; compile with SCALEIN_OBS_ENABLE_TIMING=0 to remove even that.
+  /// path.
   bool timing_enabled() const { return timing_enabled_; }
   void set_timing_enabled(bool enabled) { timing_enabled_ = enabled; }
 
@@ -137,21 +166,12 @@ class ExecContext {
     return fetched_by_relation_;
   }
 
-  /// Charges `tuples` fetched from `relation` via an index probe (hash or
-  /// projection index). `op` may be null.
-  void ChargeIndexLookup(const std::string& relation, uint64_t tuples,
-                         OpCounters* op);
-
-  /// Charges `tuples` fetched from `relation` via a sequential scan.
-  void ChargeScan(const std::string& relation, uint64_t tuples, OpCounters* op);
-
   /// Stable pointer to the per-relation fetched counter for `name` (map
   /// nodes are pointer-stable), entering `name` into fetched_by_relation().
-  /// Pair with ChargeRows / ChargeProbe so hot-path charges skip the name
-  /// lookup.
+  /// Scans take theirs at construction; access paths at their first probe.
   uint64_t* RelationSlot(const std::string& name);
 
-  /// Hot-path scan charge of `n` tuples against a pre-resolved slot.
+  /// Scan charge of `n` tuples against a relation's slot. `op` may be null.
   void ChargeRows(uint64_t* slot, uint64_t n, OpCounters* op) {
     *slot += n;
     base_tuples_fetched_ += n;
@@ -159,12 +179,49 @@ class ExecContext {
     if (!governor_.OnFetch(base_tuples_fetched_, op)) RecordTrip();
   }
 
-  /// Hot-path index-probe charge against a pre-resolved slot: one lookup
-  /// fetching `tuples`, exactly what ChargeIndexLookup charges.
-  void ChargeProbe(uint64_t* slot, uint64_t tuples, OpCounters* op) {
-    ++index_lookups_;
-    if (op != nullptr) ++op->index_lookups;
-    ChargeRows(slot, tuples, op);
+  // --- Probes through access paths (every index access to base storage) ---
+
+  /// Hash-index probe through `path` with `key` in canonical position order.
+  /// Fires `index_probe` (a fired failpoint fails the context and binds
+  /// nothing), binds the path at its first probe, and charges one lookup
+  /// plus the bucket size. Returns the matching row ids, or nullptr on a miss
+  /// or a failed probe.
+  const std::vector<uint32_t>* Probe(AccessPath* path, TupleView key,
+                                     OpCounters* op) {
+    if (Status s = SCALEIN_FAILPOINT("index_probe"); !s.ok()) {
+      SetError(std::move(s));
+      return nullptr;
+    }
+    if (path->fetched == nullptr) BindIndex(path);
+    const std::vector<uint32_t>* rows = path->index->Lookup(key);
+    ChargeProbe(path->fetched, rows == nullptr ? 0 : rows->size(), op);
+    return rows;
+  }
+
+  /// Projection-index probe (embedded statement X[Y]) through `path`: the
+  /// distinct Y-projections of the rows matching `key`, or nullptr. Fires
+  /// and binds as Probe does; charges one lookup plus the number of distinct
+  /// projections (not of matching rows: that is what the statement's N
+  /// bounds).
+  const ProjectionIndex::Group* ProbeProjection(AccessPath* path,
+                                                const Tuple& key,
+                                                OpCounters* op) {
+    if (Status s = SCALEIN_FAILPOINT("index_probe"); !s.ok()) {
+      SetError(std::move(s));
+      return nullptr;
+    }
+    if (path->fetched == nullptr) BindProjection(path);
+    const ProjectionIndex::Group* group = path->projection->Find(key);
+    ChargeProbe(path->fetched, group == nullptr ? 0 : group->size(), op);
+    return group;
+  }
+
+  /// The (R, ∅, N, T) access unit through `path`: one lookup fetching |R|
+  /// tuples, binding the fetch slot at first use. No failpoint: a full pass
+  /// is not an index probe.
+  void ChargeWholeRelation(AccessPath* path, OpCounters* op) {
+    if (path->fetched == nullptr) path->fetched = RelationSlot(*path->name);
+    ChargeProbe(path->fetched, path->rel->size(), op);
   }
 
   /// First error wins; operators stop producing once a context has failed.
@@ -194,6 +251,18 @@ class ExecContext {
   /// Converts the governor's recorded trip into this context's first error.
   void RecordTrip();
 
+  /// One index access: one lookup fetching `tuples` against `slot`.
+  void ChargeProbe(uint64_t* slot, uint64_t tuples, OpCounters* op) {
+    ++index_lookups_;
+    if (op != nullptr) ++op->index_lookups;
+    ChargeRows(slot, tuples, op);
+  }
+
+  /// First-probe binding of a hash or projection path (out of line: once
+  /// per path per evaluation).
+  void BindIndex(AccessPath* path);
+  void BindProjection(AccessPath* path);
+
   const Database* db_ = nullptr;
   std::map<std::string, const Relation*> overrides_;
   ResourceGovernor governor_;
@@ -207,36 +276,17 @@ class ExecContext {
   bool timing_enabled_ = false;
 };
 
-/// Metered access primitives. Every component that touches base-relation
-/// storage — the pull operators below, the Theorem 4.2 bounded executor, the
-/// embedded-statement chase — fetches through one of these, so their charges
-/// land in the same ExecContext counters and the bounded/unbounded paths
-/// report comparable numbers.
-
-/// Hash-index probe on `positions` (canonicalized by the relation) with
-/// `key` in canonical position order. Charges one index lookup plus the
-/// bucket size; returns the matching row ids or nullptr.
+/// One hash-index probe on `positions` (canonicalized by the relation) with
+/// `key` in canonical position order: binds a path and probes through it, so
+/// it charges exactly what ExecContext::Probe does. The library probes
+/// through paths it keeps; this one-shot form remains for the benchmark,
+/// which times it against a raw HashIndex::Lookup.
 const std::vector<uint32_t>* MeteredIndexLookup(ExecContext* ctx,
                                                 const std::string& name,
                                                 const Relation& rel,
                                                 const std::vector<size_t>& positions,
                                                 const Tuple& key,
                                                 OpCounters* op = nullptr);
-
-/// Projection-index probe (embedded access statements): distinct
-/// `value_positions` projections of the rows matching `key`. Charges one
-/// index lookup plus the group size.
-std::vector<Tuple> MeteredProjectionLookup(
-    ExecContext* ctx, const std::string& name, const Relation& rel,
-    const std::vector<size_t>& key_positions,
-    const std::vector<size_t>& value_positions, const Tuple& key,
-    OpCounters* op = nullptr);
-
-/// Charges a full sequential pass over `rel` (the (R, ∅, N, T) access unit).
-/// Counted as one lookup fetching |R| tuples, mirroring how the bounded
-/// executor has always accounted whole-relation access.
-void ChargeFullAccess(ExecContext* ctx, const std::string& name,
-                      const Relation& rel, OpCounters* op = nullptr);
 
 }  // namespace scalein::exec
 

@@ -17,8 +17,6 @@ size_t PositionOf(const std::vector<std::string>& attrs,
 
 }  // namespace
 
-#if SCALEIN_OBS_ENABLE_RECORDER
-
 void Operator::RecordOpOpen() {
   next_since_event_ = 0;
   fetched_at_event_ = op_->tuples_fetched;
@@ -48,8 +46,6 @@ void Operator::RecordOpClose() {
        {"fetched", static_cast<double>(op_->tuples_fetched)},
        {"lookups", static_cast<double>(op_->index_lookups)}});
 }
-
-#endif  // SCALEIN_OBS_ENABLE_RECORDER
 
 void Operator::TimedOpen() {
   const uint64_t start = obs::MonotonicNowNs();
@@ -111,12 +107,11 @@ IndexLookupOp::IndexLookupOp(ExecContext* ctx, std::string name,
       rel_(rel),
       name_(std::move(name)),
       positions_(std::move(positions)),
-      key_(std::move(key)) {}
+      key_(std::move(key)),
+      path_(AccessPath::Index(name_, rel_, positions_)) {}
 
 void IndexLookupOp::DoOpen() {
-  rows_ = rel_ == nullptr
-              ? nullptr
-              : MeteredIndexLookup(ctx_, name_, *rel_, positions_, key_, op_);
+  rows_ = rel_ == nullptr ? nullptr : ctx_->Probe(&path_, key_, op_);
   next_ = 0;
 }
 
@@ -138,23 +133,22 @@ ProjectionLookupOp::ProjectionLookupOp(ExecContext* ctx, std::string name,
       key_positions_(std::move(key_positions)),
       value_positions_(std::move(value_positions)),
       key_(std::move(key)),
-      remap_(std::move(remap)) {}
+      remap_(std::move(remap)),
+      path_(AccessPath::Projection(name_, rel_, key_positions_,
+                                   value_positions_)) {}
 
 void ProjectionLookupOp::DoOpen() {
-  groups_.clear();
-  if (rel_ != nullptr) {
-    groups_ = MeteredProjectionLookup(ctx_, name_, *rel_, key_positions_,
-                                      value_positions_, key_, op_);
-  }
-  next_ = 0;
+  group_ = rel_ == nullptr ? nullptr
+                           : ctx_->ProbeProjection(&path_, key_, op_);
+  if (group_ != nullptr) next_ = group_->begin();
 }
 
 bool ProjectionLookupOp::DoNext(Tuple* out) {
-  if (!ctx_->ok() || next_ >= groups_.size()) return false;
-  const Tuple& group = groups_[next_++];
+  if (!ctx_->ok() || group_ == nullptr || next_ == group_->end()) return false;
+  const Tuple& proj = (next_++)->first;
   out->clear();
   out->reserve(remap_.size());
-  for (size_t i : remap_) out->push_back(group[i]);
+  for (size_t i : remap_) out->push_back(proj[i]);
   return true;
 }
 
@@ -253,7 +247,8 @@ IndexJoinOp::IndexJoinOp(ExecContext* ctx, std::string name,
       key_sources_(std::move(key_sources)),
       residual_(std::move(residual)),
       emit_positions_(std::move(emit_positions)),
-      slot_(ctx->RelationSlot(name_)) {
+      slot_(ctx->RelationSlot(name_)),
+      path_(AccessPath::Index(name_, rel_, index_positions_)) {
   Adopt(*left_);
   key_.resize(key_sources_.size());
 }
@@ -275,8 +270,7 @@ bool IndexJoinOp::AdvanceLeft() {
       const KeySource& s = key_sources_[i];
       key_[i] = s.from_left ? left_row_[s.left_col] : s.constant;
     }
-    matches_ =
-        MeteredIndexLookup(ctx_, name_, *rel_, index_positions_, key_, op_);
+    matches_ = ctx_->Probe(&path_, key_, op_);
     match_next_ = 0;
   }
   return true;

@@ -26,9 +26,8 @@ namespace scalein::exec {
 /// reconstructible for EXPLAIN ANALYZE. `Open`/`Next` are non-virtual
 /// wrappers (NVI): they count rows_out uniformly and — only when the context
 /// enabled timing before planning — record per-op wall time. With timing off
-/// the wrapper costs one predicted branch; compiling with
-/// SCALEIN_OBS_ENABLE_TIMING=0 removes even that, restoring the exact
-/// untimed hot loop.
+/// and no flight recorder installed, the wrapper costs two predicted
+/// branches.
 class Operator {
  public:
   Operator(ExecContext* ctx, std::string label)
@@ -36,32 +35,27 @@ class Operator {
         op_(ctx->NewOp(std::move(label))),
         timing_(ctx->timing_enabled() ? op_ : nullptr) {}
   virtual ~Operator() = default;
+  // Access paths point into their operator's members: never copied.
+  Operator(const Operator&) = delete;
+  Operator& operator=(const Operator&) = delete;
 
   void Open() {
-#if SCALEIN_OBS_ENABLE_RECORDER
     if (obs::FlightRecorderEnabled()) RecordOpOpen();
-#endif
-#if SCALEIN_OBS_ENABLE_TIMING
     if (timing_ != nullptr) {
       TimedOpen();
       return;
     }
-#endif
     DoOpen();
   }
 
   bool Next(Tuple* out) {
     bool produced;
-#if SCALEIN_OBS_ENABLE_TIMING
     if (timing_ != nullptr) {
       produced = TimedNext(out);
-    } else
-#endif
-    {
+    } else {
       produced = DoNext(out);
       if (produced) ++op_->rows_out;
     }
-#if SCALEIN_OBS_ENABLE_RECORDER
     // Flight-recorder progress events, batched so the per-row cost with a
     // recorder installed stays one predicted branch + a counter bump (the
     // recorder-on governed bench gate in bench_fig_bounded_q1 is <= 3%).
@@ -72,7 +66,6 @@ class Operator {
         RecordOpClose();
       }
     }
-#endif
     return produced;
   }
 
@@ -97,7 +90,6 @@ class Operator {
   void TimedOpen();
   bool TimedNext(Tuple* out);
 
-#if SCALEIN_OBS_ENABLE_RECORDER
   /// One op-next-batch event per this many produced rows.
   static constexpr uint32_t kOpEventEveryRows = 256;
 
@@ -111,7 +103,6 @@ class Operator {
   uint32_t next_since_event_ = 0;
   uint64_t fetched_at_event_ = 0;
   bool close_recorded_ = false;
-#endif
 
   OpCounters* timing_;
 };
@@ -187,7 +178,8 @@ class ScanOp final : public Operator {
 };
 
 /// Hash-index point lookup with a key fixed at plan time (selection
-/// pushdown: σ_{X=ā}(R) through the access-schema index on X).
+/// pushdown: σ_{X=ā}(R) through the access-schema index on X), probed
+/// through an access path bound at the first Open.
 class IndexLookupOp final : public Operator {
  public:
   /// `positions` must be sorted and duplicate-free; `key` in that order.
@@ -203,12 +195,14 @@ class IndexLookupOp final : public Operator {
   std::string name_;
   std::vector<size_t> positions_;
   Tuple key_;
+  AccessPath path_;  ///< over name_ and positions_
   const std::vector<uint32_t>* rows_ = nullptr;
   size_t next_ = 0;
 };
 
 /// Projection-index lookup: the distinct π_Y(σ_{X=ā}(R)) of an embedded
-/// access statement, emitted in a caller-chosen column order.
+/// access statement, emitted in a caller-chosen column order and probed
+/// through an access path bound at the first Open.
 class ProjectionLookupOp final : public Operator {
  public:
   /// `remap[i]` is the index into the canonical value layout feeding output
@@ -229,8 +223,9 @@ class ProjectionLookupOp final : public Operator {
   std::vector<size_t> value_positions_;
   Tuple key_;
   std::vector<size_t> remap_;
-  std::vector<Tuple> groups_;
-  size_t next_ = 0;
+  AccessPath path_;  ///< over name_, key_positions_ and value_positions_
+  const ProjectionIndex::Group* group_ = nullptr;
+  ProjectionIndex::Group::const_iterator next_;
 };
 
 /// Filters child rows by a compiled condition.
@@ -368,8 +363,10 @@ class HashJoinOp final : public Operator {
 ///
 /// This is the index-aware join the planner prefers whenever the probe side
 /// is (a selection/projection/renaming of) a stored relation — the physical
-/// counterpart of an access-schema statement (R, X, N, T). With no probe
-/// columns it degenerates to a metered nested-loop scan.
+/// counterpart of an access-schema statement (R, X, N, T) — and probes
+/// through an access path bound at its first probe. With no probe columns
+/// it degenerates to a metered nested-loop scan. Either way the relation
+/// enters the context's per-relation accounting at construction.
 class IndexJoinOp final : public Operator {
  public:
   struct KeySource {
@@ -400,7 +397,8 @@ class IndexJoinOp final : public Operator {
   std::vector<KeySource> key_sources_;
   CompiledCondition residual_;
   std::vector<size_t> emit_positions_;
-  uint64_t* slot_;
+  uint64_t* slot_;   ///< scan mode's charges
+  AccessPath path_;  ///< index mode's probes, over name_ and index_positions_
 
   Tuple left_row_;
   Tuple key_;

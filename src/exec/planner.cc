@@ -22,7 +22,7 @@ size_t PositionOf(const std::vector<std::string>& attrs,
 /// A select/project/rename tower over one base relation, collapsed: output
 /// column i of the subtree is base position `out_to_base[i]`, and `conds`
 /// holds every selection conjunct rewritten to base positions.
-struct AccessPath {
+struct BaseTower {
   std::string name;
   const Relation* rel = nullptr;  // nullptr: unknown relation, empty result
   size_t base_arity = 0;
@@ -30,11 +30,11 @@ struct AccessPath {
   CompiledCondition conds;
 };
 
-std::optional<AccessPath> ResolveAccessPath(const RaExpr& expr,
+std::optional<BaseTower> ResolveBaseTower(const RaExpr& expr,
                                             ExecContext* ctx) {
   switch (expr.kind()) {
     case RaExpr::Kind::kRelation: {
-      AccessPath ap;
+      BaseTower ap;
       ap.name = expr.relation_name();
       ap.rel = ctx->Resolve(ap.name);
       ap.base_arity = expr.attributes().size();
@@ -45,9 +45,9 @@ std::optional<AccessPath> ResolveAccessPath(const RaExpr& expr,
     }
     case RaExpr::Kind::kRename:
       // Renaming changes names only; positions pass through.
-      return ResolveAccessPath(expr.input(), ctx);
+      return ResolveBaseTower(expr.input(), ctx);
     case RaExpr::Kind::kProject: {
-      std::optional<AccessPath> child = ResolveAccessPath(expr.input(), ctx);
+      std::optional<BaseTower> child = ResolveBaseTower(expr.input(), ctx);
       if (!child.has_value()) return std::nullopt;
       const std::vector<std::string>& in_attrs = expr.input().attributes();
       std::vector<size_t> out;
@@ -59,7 +59,7 @@ std::optional<AccessPath> ResolveAccessPath(const RaExpr& expr,
       return child;
     }
     case RaExpr::Kind::kSelect: {
-      std::optional<AccessPath> child = ResolveAccessPath(expr.input(), ctx);
+      std::optional<BaseTower> child = ResolveBaseTower(expr.input(), ctx);
       if (!child.has_value()) return std::nullopt;
       CompiledCondition local =
           CompiledCondition::Compile(expr.condition(), expr.input().attributes());
@@ -93,7 +93,7 @@ std::map<size_t, Value> ConstPins(const CompiledCondition& conds) {
   return pins;
 }
 
-std::unique_ptr<Operator> PlanAccessPath(const AccessPath& ap,
+std::unique_ptr<Operator> PlanBaseTower(const BaseTower& ap,
                                          ExecContext* ctx) {
   if (ap.rel == nullptr) return std::make_unique<EmptyOp>(ctx);
 
@@ -182,7 +182,7 @@ std::unique_ptr<Operator> PlanJoin(const RaExpr& expr, ExecContext* ctx) {
 
   Plan left = PlanRa(expr.left(), ctx);
 
-  std::optional<AccessPath> path = ResolveAccessPath(expr.right(), ctx);
+  std::optional<BaseTower> path = ResolveBaseTower(expr.right(), ctx);
   if (path.has_value()) {
     if (path->rel == nullptr) return std::make_unique<EmptyOp>(ctx);
     // Probe columns: shared attributes keyed from the left row, plus any
@@ -241,9 +241,9 @@ Plan PlanRa(const RaExpr& expr, ExecContext* ctx) {
   obs::ScopedSpan span(ctx->tracer(), "plan.ra", "plan");
   Plan plan;
   plan.attributes = expr.attributes();
-  std::optional<AccessPath> path = ResolveAccessPath(expr, ctx);
+  std::optional<BaseTower> path = ResolveBaseTower(expr, ctx);
   if (path.has_value()) {
-    plan.root = PlanAccessPath(*path, ctx);
+    plan.root = PlanBaseTower(*path, ctx);
     return plan;
   }
   switch (expr.kind()) {
@@ -269,7 +269,7 @@ Plan PlanRa(const RaExpr& expr, ExecContext* ctx) {
     case RaExpr::Kind::kSelect:
     case RaExpr::Kind::kProject:
     case RaExpr::Kind::kRename: {
-      // Tower over a non-access-path input (e.g. σ over a join): plan the
+      // Tower over a non-base-tower input (e.g. σ over a join): plan the
       // input, then apply the operation row-at-a-time.
       Plan input = PlanRa(expr.input(), ctx);
       switch (expr.kind()) {

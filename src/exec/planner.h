@@ -22,12 +22,12 @@ struct Plan {
 ///
 /// Planner rules:
 ///  * Any subtree of selections/projections/renames over a base relation is
-///    collapsed into a single *access path*; constant-equality conjuncts
+///    collapsed into a single *base tower*; constant-equality conjuncts
 ///    become a HashIndex point lookup (IndexLookupOp), and a proper
 ///    projection whose conjuncts are all constant equalities becomes a
 ///    ProjectionIndex lookup — the physical forms of plain and embedded
 ///    access statements.
-///  * A join whose right side is an access path becomes an IndexJoinOp
+///  * A join whose right side is a base tower becomes an IndexJoinOp
 ///    probing the base relation's index on the shared attributes plus any
 ///    constant-pinned positions; otherwise a HashJoinOp (build right, probe
 ///    left). Nested-loop joins are gone.

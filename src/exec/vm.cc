@@ -11,25 +11,11 @@
 namespace scalein::exec {
 namespace {
 
-#if defined(__GNUC__) || defined(__clang__)
-#define SCALEIN_VM_COMPUTED_GOTO 1
-#else
-#define SCALEIN_VM_COMPUTED_GOTO 0
-#endif
-
-/// A PROBE leaf's access path, bound at its first probe of an evaluation:
-/// the index it reads and the fetch slot it charges. Bound per evaluation,
-/// never in the shared program: a cached program outlives the relations a
-/// `row` or `load` replaces, and one program can run against several
-/// databases.
-struct AccessPath {
-  const HashIndex* index = nullptr;
-  uint64_t* fetched = nullptr;  ///< ExecContext::RelationSlot
-};
-
 /// Per-evaluation view of a program: relation pointers resolved once, the
-/// op table registered once (table index == prototype index), and the
-/// access paths its PROBE leaves bind as they go (indexed by node).
+/// op table registered once (table index == prototype index), and one
+/// access path per access site, bound at its first probe. A plain program
+/// has one path per node (an atom leaf's); an embedded one, per atom, one
+/// per chase step and then its verification path.
 struct Shared {
   const CompiledProgram& p;
   bool enforce = false;
@@ -42,14 +28,35 @@ struct Shared {
   }
 };
 
-/// Resolves the program's relations and, with `register_ops`, registers its
-/// op prototypes into `ctx` in table order (derivation pre-order).
+/// Resolves the program's relations, names its access paths and, with
+/// `register_ops`, registers its op prototypes into `ctx` in table order
+/// (derivation pre-order).
 Shared MakeShared(const CompiledProgram& p, const Database& db, bool enforce,
                   bool register_ops, ExecContext* ctx) {
-  Shared sh{p, enforce, {}, {}, std::vector<AccessPath>(p.nodes.size())};
+  Shared sh{p, enforce, {}, {}, {}};
   sh.rels.reserve(p.relations.size());
   for (const std::string& name : p.relations) {
     sh.rels.push_back(db.FindRelation(name));
+  }
+  if (p.kind == CompiledProgram::Kind::kPlain) {
+    sh.paths.resize(p.nodes.size());
+    for (size_t n = 0; n < p.nodes.size(); ++n) {
+      const PlainNode& node = p.nodes[n];
+      if (node.rule != ControlRule::kAtom) continue;
+      const uint32_t r = node.leaf.relation;
+      sh.paths[n] =
+          AccessPath::Index(p.relations[r], sh.rels[r], node.leaf.key_positions);
+    }
+  } else {
+    for (const AtomCode& ac : p.atoms) {
+      const std::string& name = p.relations[ac.relation];
+      const Relation* rel = sh.rels[ac.relation];
+      for (const ChaseStepCode& step : ac.steps) {
+        sh.paths.push_back(AccessPath::Projection(
+            name, rel, step.key_positions, step.value_positions));
+      }
+      sh.paths.push_back(AccessPath::Index(name, rel, ac.verify_positions));
+    }
   }
   if (register_ops) {
     sh.ops.reserve(p.ops.size());
@@ -73,13 +80,11 @@ struct LeafScratch {
   Tuple key;
 };
 
-/// Runs an atom's per-position unify steps against a fetched row. The
-/// computed-goto variant keeps the dispatch in one indirect branch per
-/// position; the switch fallback is semantically identical.
+/// Runs an atom's per-position unify steps against a fetched row, with one
+/// indirect branch (computed goto) per position.
 bool UnifyLocal(const std::vector<UnifyStep>& steps,
                 const std::vector<Value>& consts, const Value* row,
                 TupleView r, Value* locals) {
-#if SCALEIN_VM_COMPUTED_GOTO
   static const void* kJump[] = {&&lCheckConst, &&lCheckReg, &&lBindLocal,
                                 &&lCheckLocal, &&lSkip,     &&lBindReg};
   const size_t n = steps.size();
@@ -109,31 +114,6 @@ lBindReg:
   SI_CHECK_MSG(false, "embedded unify step in a plain leaf");
   return false;
 #undef SCALEIN_VM_NEXT
-#else
-  for (size_t p = 0; p < steps.size(); ++p) {
-    const UnifyStep& s = steps[p];
-    switch (s.kind) {
-      case UnifyStep::Kind::kCheckConst:
-        if (!(consts[s.index] == r[p])) return false;
-        break;
-      case UnifyStep::Kind::kCheckReg:
-        if (!(row[s.reg] == r[p])) return false;
-        break;
-      case UnifyStep::Kind::kBindLocal:
-        locals[s.index] = r[p];
-        break;
-      case UnifyStep::Kind::kCheckLocal:
-        if (!(locals[s.index] == r[p])) return false;
-        break;
-      case UnifyStep::Kind::kSkip:
-        break;
-      case UnifyStep::Kind::kBindReg:
-        SI_CHECK_MSG(false, "embedded unify step in a plain leaf");
-        break;
-    }
-  }
-  return true;
-#endif
 }
 
 /// Sorts `buf`'s w-wide chunks lexicographically and drops duplicates: the
@@ -286,7 +266,6 @@ class PlainVm {
   uint64_t Visit(uint32_t n, const Value* row, std::vector<Value>* out) {
     const PlainNode& node = p_.nodes[n];
     OpCounters* op = sh_.op(node.op_idx);
-#if SCALEIN_OBS_ENABLE_TIMING
     if (op != nullptr && ctx_->timing_enabled()) {
       const uint64_t start = obs::MonotonicNowNs();
       const uint64_t d = VisitImpl(n, node, row, op, out);
@@ -295,7 +274,6 @@ class PlainVm {
       op->rows_out += d;
       return d;
     }
-#endif
     const uint64_t d = VisitImpl(n, node, row, op, out);
     if (op != nullptr) op->rows_out += d;
     return d;
@@ -375,10 +353,8 @@ class PlainVm {
     }
   }
 
-  /// One metered probe (or full scan); leaves the distinct extensions,
-  /// sorted, in leaf_.ext and returns their count. A probe leaf binds its
-  /// access path at its first probe, after the failpoint, so its relation
-  /// enters the per-relation accounting at its first charge.
+  /// One metered probe (or full scan) through the leaf's access path; leaves
+  /// the distinct extensions, sorted, in leaf_.ext and returns their count.
   uint64_t LeafAtom(uint32_t n, const LeafCode& leaf, const Value* row,
                     OpCounters* op) {
     LeafScratch* s = &leaf_;
@@ -387,6 +363,7 @@ class PlainVm {
     const Relation* rel = sh_.rels[leaf.relation];
     if (rel == nullptr) return 0;
     const std::string& name = p_.relations[leaf.relation];
+    AccessPath* path = &sh_.paths[n];
     s->locals.resize(w);
     uint64_t matched = 0;
     auto consume = [&](TupleView r) {
@@ -398,7 +375,7 @@ class PlainVm {
     };
     if (leaf.full_scan) {
       // (R, ∅, N, T): the whole relation is the access unit.
-      ChargeFullAccess(ctx_, name, *rel, op);
+      ctx_->ChargeWholeRelation(path, op);
       if (!ctx_->ok()) return 0;
       if (sh_.enforce && rel->size() > leaf.access->max_tuples) {
         ctx_->SetError(Status::ResourceExhausted("relation " + name +
@@ -409,17 +386,7 @@ class PlainVm {
       for (size_t i = 0; i < rel->size(); ++i) consume(rel->TupleAt(i));
     } else {
       BuildKey(leaf, row, &s->key);
-      if (Status st = SCALEIN_FAILPOINT("index_probe"); !st.ok()) {
-        ctx_->SetError(std::move(st));
-        return 0;
-      }
-      AccessPath& path = sh_.paths[n];
-      if (path.index == nullptr) {
-        path.index = &rel->EnsureIndex(leaf.key_positions);
-        path.fetched = ctx_->RelationSlot(name);
-      }
-      const std::vector<uint32_t>* rows = path.index->Lookup(s->key);
-      ctx_->ChargeProbe(path.fetched, rows == nullptr ? 0 : rows->size(), op);
+      const std::vector<uint32_t>* rows = ctx_->Probe(path, s->key, op);
       if (!ctx_->ok() || rows == nullptr) return 0;
       if (sh_.enforce && rows->size() > leaf.access->max_tuples) {
         ctx_->SetError(Status::ResourceExhausted("σ on " + name +
@@ -572,12 +539,14 @@ struct EmbScratch {
 };
 
 /// One frontier row through one compiled atom's chase: seed, chase steps,
-/// optional verification, then unification into a copy of the row.
-Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
-                  const Value* row, ExecContext* actx, OpCounters* aop,
-                  std::vector<Value>* out, size_t w, EmbScratch* s) {
+/// optional verification, then unification into a copy of the row. The
+/// atom's access paths are `paths[0, steps)` for its chase steps and
+/// `paths[steps]` for its verification. A failure fails `ctx`.
+void ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
+                AccessPath* paths, const Value* row, ExecContext* ctx,
+                OpCounters* aop, std::vector<Value>* out, size_t w,
+                EmbScratch* s) {
   const CompiledProgram& p = sh.p;
-  const std::string& name = p.relations[ac.relation];
   const size_t arity = ac.arity;
   // Seed partial tuple from constants and bound registers.
   s->cand.assign(arity, Value());
@@ -589,23 +558,26 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
       s->cand[pos] = row[slot.reg];
     }
   }
-  for (const ChaseStepCode& step : ac.steps) {
+  for (size_t si = 0; si < ac.steps.size(); ++si) {
+    const ChaseStepCode& step = ac.steps[si];
     s->ext.clear();
     const size_t m = s->cand.size() / arity;
     for (size_t ci = 0; ci < m; ++ci) {
       const Value* cand = s->cand.data() + ci * arity;
       s->key.clear();
       for (size_t pos : step.key_layout) s->key.push_back(cand[pos]);
-      std::vector<Tuple> projections =
-          MeteredProjectionLookup(actx, name, *rel, step.key_positions,
-                                  step.value_positions, s->key, aop);
-      SI_RETURN_IF_ERROR(actx->status());
-      if (sh.enforce && projections.size() > step.statement->max_tuples) {
-        return Status::ResourceExhausted(
+      const ProjectionIndex::Group* projections =
+          ctx->ProbeProjection(&paths[si], s->key, aop);
+      if (!ctx->ok()) return;
+      if (projections == nullptr) continue;
+      if (sh.enforce && projections->size() > step.statement->max_tuples) {
+        ctx->SetError(Status::ResourceExhausted(
             "embedded access exceeds declared N of " +
-            step.statement->ToString());
+            step.statement->ToString()));
+        return;
       }
-      for (const Tuple& proj : projections) {
+      for (const auto& entry : *projections) {
+        const Tuple& proj = entry.first;
         bool ok = true;
         for (const ChaseColumn& c : step.checks) {
           if (!(cand[c.position] == proj[c.column])) {
@@ -624,21 +596,22 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
     s->cand.swap(s->ext);
   }
   // All positions are now bound; verify if required, then unify.
+  AccessPath* verify = &paths[ac.steps.size()];
   const size_t m = s->cand.size() / arity;
   for (size_t ci = 0; ci < m; ++ci) {
     const Value* cand = s->cand.data() + ci * arity;
     if (ac.needs_verification) {
       s->key.clear();
       for (size_t pos : ac.verify_positions) s->key.push_back(cand[pos]);
-      const std::vector<uint32_t>* row_ids = MeteredIndexLookup(
-          actx, name, *rel, ac.verify_positions, s->key, aop);
-      SI_RETURN_IF_ERROR(actx->status());
+      const std::vector<uint32_t>* row_ids = ctx->Probe(verify, s->key, aop);
+      if (!ctx->ok()) return;
       bool found = false;
       if (row_ids != nullptr) {
         if (sh.enforce && row_ids->size() > ac.verify_statement->max_tuples) {
-          return Status::ResourceExhausted(
+          ctx->SetError(Status::ResourceExhausted(
               "verification access exceeds declared N of " +
-              ac.verify_statement->ToString());
+              ac.verify_statement->ToString()));
+          return;
         }
         for (uint32_t r : *row_ids) {
           if (TupleEquals(rel->TupleAt(r), TupleView(cand, arity))) {
@@ -673,7 +646,62 @@ Status ProcessRow(const Shared& sh, const AtomCode& ac, const Relation* rel,
     }
     if (!ok) out->resize(base);
   }
-  return Status::OK();
+}
+
+/// The Proposition 4.5 chase: extends the frontier in `rows` (the seed row
+/// on entry) through every compiled atom in plan order. A failure fails
+/// `ctx` and leaves the frontier incomplete.
+void Chase(Shared& sh, ExecContext* ctx, std::vector<Value>* rows) {
+  const CompiledProgram& program = sh.p;
+  const size_t w = program.num_regs;
+  size_t n_rows = 1;
+  EmbScratch scratch;
+  AccessPath* paths = sh.paths.data();
+  for (size_t ai = 0; ai < program.atoms.size(); ++ai) {
+    const AtomCode& ac = program.atoms[ai];
+    OpCounters* op = sh.op(ac.op_idx);
+    const bool timed = op != nullptr && ctx->timing_enabled();
+    const uint64_t atom_start = timed ? obs::MonotonicNowNs() : 0;
+    // One chase step of the Proposition 4.5 plan: extend every frontier
+    // row through this atom's access statements.
+    if (Status s = SCALEIN_FAILPOINT("chase_step"); !s.ok()) {
+      ctx->SetError(std::move(s));
+      return;
+    }
+    obs::ScopedSpan chase_span(ctx->tracer(), "bounded.chase_step", "core");
+    if (chase_span.enabled()) {
+      chase_span.Arg("relation", program.relations[ac.relation]);
+      chase_span.Arg("step", static_cast<uint64_t>(ai));
+      chase_span.Arg("frontier", static_cast<uint64_t>(n_rows));
+    }
+    if (obs::FlightRecorderEnabled()) {
+      obs::RecordFlightEvent(
+          obs::EventKind::kChaseStep, program.relations[ac.relation],
+          {obs::EventArg("step", static_cast<uint64_t>(ai)),
+           obs::EventArg("frontier", static_cast<uint64_t>(n_rows))});
+    }
+    const Relation* rel = sh.rels[ac.relation];
+    std::vector<Value> next;
+    // Unknown relation: the frontier dies here, matching a lookup miss.
+    if (rel != nullptr) {
+      for (size_t i = 0; i < n_rows; ++i) {
+        ProcessRow(sh, ac, rel, paths, rows->data() + i * w, ctx, op, &next,
+                   w, &scratch);
+        if (!ctx->ok()) return;
+      }
+    }
+    paths += ac.steps.size() + 1;
+    const size_t next_n = next.size() / w;
+    if (op != nullptr) {
+      op->rows_out += next_n;
+      if (timed) {
+        op->next_ns += obs::MonotonicNowNs() - atom_start;
+        ++op->next_calls;
+      }
+    }
+    *rows = std::move(next);
+    n_rows = next_n;
+  }
 }
 
 /// Projects `n` rows of `w` registers onto the open head registers. Each
@@ -720,87 +748,33 @@ Status CheckProgramParams(const CompiledProgram& program,
   return Status::OK();
 }
 
-void RunPlain(const CompiledProgram& program, const Database& db,
-              bool enforce_bounds, const Binding& params, bool register_ops,
-              ExecContext* ctx, PlainRows* rows) {
+void Run(const CompiledProgram& program, const Database& db,
+         bool enforce_bounds, const Binding& params, bool register_ops,
+         ExecContext* ctx, AnswerSet* answers) {
   Shared sh = MakeShared(program, db, enforce_bounds, register_ops, ctx);
-  std::vector<Value> seed(program.num_regs, Value());
-  for (const auto& [v, r] : program.param_regs) seed[r] = params.at(v);
-  rows->width = program.num_regs;
-  rows->buf.clear();
-  PlainVm vm(sh, ctx);
-  vm.Visit(0, seed.data(), &rows->buf);
-}
-
-void EmitPlainAnswers(const CompiledProgram& program, const PlainRows& rows,
-                      ExecContext* ctx, AnswerSet* answers) {
-  ProjectHead(program, rows.buf.data(), rows.size(), rows.width, ctx,
-              /*op=*/nullptr, answers);
-}
-
-Result<AnswerSet> RunEmbedded(const CompiledProgram& program,
-                              const Database& db, bool enforce_bounds,
-                              const Binding& params, bool register_ops,
-                              ExecContext* ctx) {
-  Shared sh = MakeShared(program, db, enforce_bounds, register_ops, ctx);
-  OpCounters* root_op = sh.op(0);
-
   const size_t w = program.num_regs;
-  std::vector<Value> rows(w, Value());
-  for (const auto& [v, r] : program.param_regs) rows[r] = params.at(v);
-  size_t n_rows = 1;
-
-  EmbScratch scratch;
-  for (size_t ai = 0; ai < program.atoms.size(); ++ai) {
-    const AtomCode& ac = program.atoms[ai];
-    OpCounters* op = sh.op(ac.op_idx);
-#if SCALEIN_OBS_ENABLE_TIMING
-    const bool timed = op != nullptr && ctx->timing_enabled();
-    const uint64_t atom_start = timed ? obs::MonotonicNowNs() : 0;
-#endif
-    // One chase step of the Proposition 4.5 plan: extend every frontier
-    // row through this atom's access statements.
-    if (Status s = SCALEIN_FAILPOINT("chase_step"); !s.ok()) return s;
-    obs::ScopedSpan chase_span(ctx->tracer(), "bounded.chase_step", "core");
-    if (chase_span.enabled()) {
-      chase_span.Arg("relation", program.relations[ac.relation]);
-      chase_span.Arg("step", static_cast<uint64_t>(ai));
-      chase_span.Arg("frontier", static_cast<uint64_t>(n_rows));
-    }
-    if (obs::FlightRecorderEnabled()) {
-      obs::RecordFlightEvent(
-          obs::EventKind::kChaseStep, program.relations[ac.relation],
-          {obs::EventArg("step", static_cast<uint64_t>(ai)),
-           obs::EventArg("frontier", static_cast<uint64_t>(n_rows))});
-    }
-    const Relation* rel = sh.rels[ac.relation];
-    std::vector<Value> next;
-    // Unknown relation: the frontier dies here, matching a lookup miss.
-    if (rel != nullptr) {
-      for (size_t i = 0; i < n_rows; ++i) {
-        SI_RETURN_IF_ERROR(ProcessRow(sh, ac, rel, rows.data() + i * w, ctx,
-                                      op, &next, w, &scratch));
-      }
-    }
-    const size_t next_n = next.size() / w;
-    if (op != nullptr) {
-      op->rows_out += next_n;
-#if SCALEIN_OBS_ENABLE_TIMING
-      if (timed) {
-        op->next_ns += obs::MonotonicNowNs() - atom_start;
-        ++op->next_calls;
-      }
-#endif
-    }
-    rows = std::move(next);
-    n_rows = next_n;
+  std::vector<Value> seed(w, Value());
+  for (const auto& [v, r] : program.param_regs) seed[r] = params.at(v);
+  if (program.kind == CompiledProgram::Kind::kPlain) {
+    // The root's rows survived the whole derivation, so they are sound
+    // answers even when the walk was cut short.
+    std::vector<Value> rows;
+    PlainVm(sh, ctx).Visit(0, seed.data(), &rows);
+    ProjectHead(program, rows.data(), w == 0 ? 0 : rows.size() / w, w, ctx,
+                /*op=*/nullptr, answers);
+    return;
   }
-
-  AnswerSet answers;
-  ProjectHead(program, rows.data(), n_rows, w, ctx, root_op, &answers);
-  SI_RETURN_IF_ERROR(ctx->status());
-  if (root_op != nullptr) root_op->rows_out += answers.size();
-  return answers;
+  // A chase yields answers only when it completes: a cut-short frontier
+  // holds unverified partial matches.
+  OpCounters* root_op = sh.op(0);
+  Chase(sh, ctx, &seed);
+  if (!ctx->ok()) return;
+  ProjectHead(program, seed.data(), seed.size() / w, w, ctx, root_op, answers);
+  if (!ctx->ok()) {
+    answers->clear();
+    return;
+  }
+  if (root_op != nullptr) root_op->rows_out += answers->size();
 }
 
 }  // namespace scalein::exec

@@ -25,40 +25,24 @@ namespace scalein::exec {
 /// per-relation accounting and sealed certificates — is a function of the
 /// derivation alone. Each evaluation is one sequential walk.
 
-/// The distinct result rows of one plain run, `width` registers each.
-struct PlainRows {
-  std::vector<Value> buf;
-  size_t width = 0;
-  size_t size() const { return width == 0 ? 0 : buf.size() / width; }
-  const Value* row(size_t i) const { return buf.data() + i * width; }
-};
-
 /// Rejects a binding that does not bind exactly the program's parameters
 /// (plain) or misses / adds to them (embedded), with InvalidArgument.
 Status CheckProgramParams(const CompiledProgram& program,
                           const Binding& params);
 
-/// Runs a kPlain program for `params` (already checked) in `ctx`, leaving
-/// the root's rows in `rows`. With `register_ops` the program's op table is
-/// registered into `ctx` first and every visit charges its op; a failed
-/// context leaves no rows.
-void RunPlain(const CompiledProgram& program, const Database& db,
-              bool enforce_bounds, const Binding& params, bool register_ops,
-              ExecContext* ctx, PlainRows* rows);
-
-/// Projects `rows` onto the program's open head registers. Each distinct
-/// answer charges the output-row cap; the tripping answer is withdrawn, so
-/// exactly `cap` answers survive.
-void EmitPlainAnswers(const CompiledProgram& program, const PlainRows& rows,
-                      ExecContext* ctx, AnswerSet* answers);
-
-/// Runs a kEmbedded program (the Proposition 4.5 chase) for `params`
-/// (already checked) in `ctx`. With `register_ops` the "embedded-cq" root
-/// and one "chase(R)" op per atom are registered and charged.
-Result<AnswerSet> RunEmbedded(const CompiledProgram& program,
-                              const Database& db, bool enforce_bounds,
-                              const Binding& params, bool register_ops,
-                              ExecContext* ctx);
+/// Runs `program` for `params` (already checked) in `ctx` and projects its
+/// result rows onto the open head registers into `answers`: the one VM
+/// entry. A kPlain program is one walk of its node tree; a kEmbedded one is
+/// the Proposition 4.5 chase. With `register_ops` the program's op table
+/// (the derivation nodes, or the "embedded-cq" root and one "chase(R)" op
+/// per atom) is registered into `ctx` first and charged. Each distinct
+/// answer charges the output-row cap, and the tripping answer is withdrawn,
+/// so exactly `cap` answers survive. Every failure fails `ctx`. A plain
+/// walk's rows are sound even when it was cut short, so they are still
+/// projected; a chase that failed leaves `answers` empty.
+void Run(const CompiledProgram& program, const Database& db,
+         bool enforce_bounds, const Binding& params, bool register_ops,
+         ExecContext* ctx, AnswerSet* answers);
 
 /// There is one bounded evaluator; this name is kept for callers that run
 /// compiled programs through it.

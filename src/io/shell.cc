@@ -479,10 +479,7 @@ std::string Shell::RecordServeVerdict(obs::AccessCertificate cert,
   // admission refusal is a tripped certificate, so it never counts here).
   const bool noncontrollable = cert.static_bound < 0 && !cert.tripped;
   obs::SealCertificate(&cert);
-  metrics_
-      ->GetCounter(std::string("shell.certificates.") +
-                   obs::CertVerdictName(cert.verdict))
-      .Increment();
+  series_->certificates[static_cast<size_t>(cert.verdict)].Get().Increment();
   if (obs::FlightRecorderEnabled()) {
     obs::RecordFlightEvent(
         obs::EventKind::kCertificate, obs::CertVerdictName(cert.verdict),

@@ -218,7 +218,8 @@ class Shell {
   Result<std::string> RunWorkload(std::string_view rest) const;
 
   /// Fixed-name series of `metrics_` the query path moves on every query,
-  /// looked up at first use and kept (obs::Series).
+  /// looked up at first use and kept (obs::Series). `certificates` is
+  /// indexed by obs::CertVerdict.
   struct QuerySeries {
     explicit QuerySeries(obs::MetricsRegistry* m)
         : cache_hits(m, "shell.analysis_cache.hits"),
@@ -228,7 +229,15 @@ class Shell {
           queries(m, "shell.queries"),
           fetched(m, "shell.base_tuples_fetched"),
           lookups(m, "shell.index_lookups"),
-          slow_ms(m, "shell.slow_query_threshold_ms") {}
+          slow_ms(m, "shell.slow_query_threshold_ms"),
+          certificates{{m, CertificatesName(obs::CertVerdict::kWithinBound)},
+                       {m, CertificatesName(obs::CertVerdict::kExceeded)},
+                       {m, CertificatesName(obs::CertVerdict::kNoStaticBound)},
+                       {m, CertificatesName(obs::CertVerdict::kTripped)}} {}
+    static std::string CertificatesName(obs::CertVerdict verdict) {
+      return std::string("shell.certificates.") +
+             obs::CertVerdictName(verdict);
+    }
     obs::Series<obs::Gauge> cache_hits;
     obs::Series<obs::Gauge> cache_misses;
     obs::Series<obs::Counter> compiled_hits;
@@ -237,6 +246,7 @@ class Shell {
     obs::Series<obs::Counter> fetched;
     obs::Series<obs::Counter> lookups;
     obs::Series<obs::Gauge> slow_ms;
+    obs::Series<obs::Counter> certificates[obs::kCertVerdicts];
   };
 
   Schema schema_;

@@ -8,15 +8,6 @@
 #include <utility>
 #include <vector>
 
-/// Compile-time kill switch for the flight recorder. Building with
-/// -DSCALEIN_OBS_ENABLE_RECORDER=0 turns every RecordFlightEvent call into a
-/// no-op (FlightRecorderEnabled() becomes a compile-time false, so event
-/// construction is dead code) — such a build is fetch-count-identical to a
-/// recorder-on build because observation never touches accounting.
-#ifndef SCALEIN_OBS_ENABLE_RECORDER
-#define SCALEIN_OBS_ENABLE_RECORDER 1
-#endif
-
 namespace scalein::obs {
 
 /// What happened. One enumerator per structured event the engines append;
@@ -153,31 +144,20 @@ class FlightRecorder {
   uint64_t (*clock_)() = nullptr;
 };
 
-/// One predicted branch while no recorder is installed; compile-time false
-/// when the recorder is compiled out. Guard event construction with this so
-/// the disabled path never builds labels or args.
+/// One predicted branch while no recorder is installed. Guard event
+/// construction with this so the disabled path never builds labels or args.
 inline bool FlightRecorderEnabled() {
-#if SCALEIN_OBS_ENABLE_RECORDER
   return FlightRecorder::Global() != nullptr;
-#else
-  return false;
-#endif
 }
 
 /// Appends to the global recorder when one is installed; no-op otherwise.
 inline void RecordFlightEvent(
     EventKind kind, std::string label,
     std::vector<std::pair<std::string, std::string>> args = {}) {
-#if SCALEIN_OBS_ENABLE_RECORDER
   FlightRecorder* recorder = FlightRecorder::Global();
   if (recorder != nullptr) {
     recorder->Append(kind, std::move(label), std::move(args));
   }
-#else
-  (void)kind;
-  (void)label;
-  (void)args;
-#endif
 }
 
 /// Compact variant of RecordFlightEvent: no allocation on the append path.
@@ -185,16 +165,10 @@ inline void RecordFlightEvent(
 /// builders' string work would show up against the 3% observation budget.
 inline void RecordFlightNums(EventKind kind, const char* label,
                              std::initializer_list<NumArg> nums = {}) {
-#if SCALEIN_OBS_ENABLE_RECORDER
   FlightRecorder* recorder = FlightRecorder::Global();
   if (recorder != nullptr) {
     recorder->AppendCompact(kind, label, nums);
   }
-#else
-  (void)kind;
-  (void)label;
-  (void)nums;
-#endif
 }
 
 /// FNV-1a 64-bit — the fingerprint/signature hash. Not cryptographic: the

@@ -20,6 +20,7 @@ enum class CertVerdict {
   kNoStaticBound,  ///< the analysis produced no finite bound to check
   kTripped,        ///< the governor stopped the query; accounting is partial
 };
+constexpr size_t kCertVerdicts = 4;
 
 /// Canonical kebab-case name ("within-bound", "exceeded", ...).
 const char* CertVerdictName(CertVerdict verdict);

@@ -9,15 +9,6 @@
 
 #include "obs/correlation.h"
 
-/// Compile-time kill switch for the engine's span/timing instrumentation.
-/// Building with -DSCALEIN_OBS_ENABLE_TIMING=0 removes even the
-/// branch-on-null fast paths from the operator hot loop, so the no-op path
-/// is checkable at compile time (the paper's |D_Q| accounting is unaffected
-/// — only wall-clock observation is stripped).
-#ifndef SCALEIN_OBS_ENABLE_TIMING
-#define SCALEIN_OBS_ENABLE_TIMING 1
-#endif
-
 namespace scalein::obs {
 
 /// Monotonic nanoseconds since an arbitrary process-stable epoch

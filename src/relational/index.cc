@@ -126,18 +126,6 @@ void HashIndex::MoveRow(TupleView row, uint32_t old_id, uint32_t new_id) {
   *pos = new_id;
 }
 
-std::vector<Tuple> ProjectionIndex::Lookup(const Tuple& key) const {
-  std::vector<Tuple> out;
-  auto it = groups_.find(key);
-  if (it == groups_.end()) return out;
-  out.reserve(it->second.size());
-  for (const auto& [proj, count] : it->second) {
-    (void)count;
-    out.push_back(proj);
-  }
-  return out;
-}
-
 size_t ProjectionIndex::GroupSize(const Tuple& key) const {
   auto it = groups_.find(key);
   return it == groups_.end() ? 0 : it->second.size();

@@ -11,13 +11,7 @@ namespace scalein {
 
 /// Asks the CPU to start loading `p`'s cache line. A hint: it reads nothing
 /// the program can observe and never faults.
-inline void PrefetchForRead(const void* p) {
-#if defined(__GNUC__) || defined(__clang__)
-  __builtin_prefetch(p, 0, 3);
-#else
-  (void)p;
-#endif
-}
+inline void PrefetchForRead(const void* p) { __builtin_prefetch(p, 0, 3); }
 
 /// Linear-probing hash table of 32-bit ids whose keys live outside it: a
 /// relation's set of rows, a HashIndex's entries. A slot holds an id and a
@@ -191,6 +185,10 @@ class HashIndex {
 /// Entries are reference-counted so deletions keep distinctness exact.
 class ProjectionIndex {
  public:
+  /// One key's distinct Y-projections, each with the number of rows that
+  /// project onto it.
+  using Group = std::unordered_map<Tuple, uint32_t, TupleHash, TupleEq>;
+
   ProjectionIndex(std::vector<size_t> key_positions,
                   std::vector<size_t> value_positions)
       : key_positions_(std::move(key_positions)),
@@ -199,8 +197,13 @@ class ProjectionIndex {
   const std::vector<size_t>& key_positions() const { return key_positions_; }
   const std::vector<size_t>& value_positions() const { return value_positions_; }
 
-  /// Distinct Y-projections for key ā; empty when none.
-  std::vector<Tuple> Lookup(const Tuple& key) const;
+  /// The distinct Y-projections for key ā, or nullptr when none. Like a
+  /// HashIndex lookup, the result is invalidated by any mutation of the
+  /// owning relation.
+  const Group* Find(const Tuple& key) const {
+    auto it = groups_.find(key);
+    return it == groups_.end() ? nullptr : &it->second;
+  }
 
   /// Number of distinct Y-projections for key ā (the quantity the N bound of
   /// an embedded statement constrains).
@@ -214,7 +217,6 @@ class ProjectionIndex {
   void RemoveRow(TupleView row);
 
  private:
-  using Group = std::unordered_map<Tuple, uint32_t, TupleHash, TupleEq>;
   std::vector<size_t> key_positions_;
   std::vector<size_t> value_positions_;
   std::unordered_map<Tuple, Group, TupleHash, TupleEq> groups_;

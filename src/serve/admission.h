@@ -35,6 +35,7 @@ enum class RejectReason {
   kQueueTimeout,    ///< queued, but no run slot freed within the timeout
   kDraining,        ///< server is shutting down; not accepting work
 };
+constexpr size_t kRejectReasons = 7;
 
 const char* RejectReasonName(RejectReason reason);
 

@@ -58,6 +58,11 @@ std::string DecidedName(AdmitAction action) {
   return std::string("serve.") + AdmitActionName(action);
 }
 
+/// The counter of one rejection reason: "serve.rejected.<reason>".
+std::string RejectedName(RejectReason reason) {
+  return std::string("serve.rejected.") + RejectReasonName(reason);
+}
+
 /// Elapsed milliseconds between two monotonic stamps; 0 when the phase
 /// never happened (either stamp unset) or the clock did not advance.
 double PhaseMs(uint64_t start_ns, uint64_t end_ns) {
@@ -67,6 +72,13 @@ double PhaseMs(uint64_t start_ns, uint64_t end_ns) {
 
 }  // namespace
 
+Server::ClassSeries::ClassSeries(obs::MetricsRegistry* m, BoundClass cls)
+    : queue_wait_ms(m, std::string("serve.queue_wait_ms.") + BoundClassName(cls)),
+      exec_ms(m, std::string("serve.exec_ms.") + BoundClassName(cls)),
+      e2e_ms(m, std::string("serve.e2e_ms.") + BoundClassName(cls)),
+      shed(m, std::string("serve.shed.") + BoundClassName(cls)),
+      queue_depth(m, std::string("serve.queue_depth.") + BoundClassName(cls)) {}
+
 Server::Server(Shell* shell, Options options)
     : shell_(shell),
       options_(std::move(options)),
@@ -74,7 +86,18 @@ Server::Server(Shell* shell, Options options)
       decided_{{metrics_, DecidedName(AdmitAction::kAdmit)},
                {metrics_, DecidedName(AdmitAction::kQueue)},
                {metrics_, DecidedName(AdmitAction::kDegrade)},
-               {metrics_, DecidedName(AdmitAction::kReject)}} {}
+               {metrics_, DecidedName(AdmitAction::kReject)}},
+      by_class_{{metrics_, BoundClass::kSmall},
+                {metrics_, BoundClass::kMedium},
+                {metrics_, BoundClass::kLarge},
+                {metrics_, BoundClass::kHuge}},
+      rejected_{{metrics_, RejectedName(RejectReason::kNone)},
+                {metrics_, RejectedName(RejectReason::kNoStaticBound)},
+                {metrics_, RejectedName(RejectReason::kBudgetExhausted)},
+                {metrics_, RejectedName(RejectReason::kQueueFull)},
+                {metrics_, RejectedName(RejectReason::kQueueClassFull)},
+                {metrics_, RejectedName(RejectReason::kQueueTimeout)},
+                {metrics_, RejectedName(RejectReason::kDraining)}} {}
 
 Server::~Server() { Drain(); }
 
@@ -106,13 +129,8 @@ Status Server::Start() {
   }
   // Queue-depth gauges exist (at zero) from the first scrape, not from the
   // first enqueue: scrapers key on series presence, not just values.
-  metrics_->GetGauge("serve.queue_depth").Set(0);
-  for (size_t cls = 0; cls < kBoundClasses; ++cls) {
-    metrics_
-        ->GetGauge(std::string("serve.queue_depth.") +
-                   BoundClassName(static_cast<BoundClass>(cls)))
-        .Set(0);
-  }
+  queue_depth_.Get().Set(0);
+  for (ClassSeries& cls : by_class_) cls.queue_depth.Get().Set(0);
   started_ = true;
   return Status::OK();
 }
@@ -185,9 +203,7 @@ Result<std::string> Server::CloseSession(const std::string& sid) {
 void Server::CountDecision(const AdmissionDecision& decision) {
   decided_[static_cast<size_t>(decision.action)].Get().Increment();
   if (decision.action == AdmitAction::kReject) {
-    metrics_->GetCounter(std::string("serve.rejected.") +
-                         RejectReasonName(decision.reject))
-        .Increment();
+    rejected_[static_cast<size_t>(decision.reject)].Get().Increment();
   }
 }
 
@@ -217,7 +233,6 @@ std::string Server::EmitLifecycle(const obs::QueryId& qid,
                                   const ServeEvalOutcome* outcome,
                                   const PhaseTiming& t, size_t bytes_out) {
   const BoundClass cls = ClassifyBound(decision.static_bound);
-  const std::string cls_name = BoundClassName(cls);
   const double queue_wait_ms = PhaseMs(t.queue_enter_ns, t.queue_exit_ns);
   const double exec_ms = PhaseMs(t.exec_start_ns, t.exec_done_ns);
   const double e2e_ms = PhaseMs(t.arrive_ns, t.done_ns);
@@ -248,11 +263,11 @@ std::string Server::EmitLifecycle(const obs::QueryId& qid,
 
   // Per-class SLO histograms — the series the scrape endpoint exposes as
   // serve_queue_wait_ms_<class>_bucket etc.
-  metrics_->GetHistogram("serve.queue_wait_ms." + cls_name)
-      .Observe(queue_wait_ms);
-  metrics_->GetHistogram("serve.exec_ms." + cls_name).Observe(exec_ms);
-  metrics_->GetHistogram("serve.e2e_ms." + cls_name).Observe(e2e_ms);
-  if (shed) metrics_->GetCounter("serve.shed." + cls_name).Increment();
+  ClassSeries& series = by_class_[static_cast<size_t>(cls)];
+  series.queue_wait_ms.Get().Observe(queue_wait_ms);
+  series.exec_ms.Get().Observe(exec_ms);
+  series.e2e_ms.Get().Observe(e2e_ms);
+  if (shed) series.shed.Get().Increment();
 
   std::string warnings;
   if (access_log_ != nullptr) {
@@ -425,12 +440,9 @@ Result<std::string> Server::Submit(const std::string& sid,
     QueueTicket ticket{next_ticket_++, static_cast<BoundClass>(cls)};
     queue_.push_back(ticket);
     ++queued_by_class_[cls];
-    metrics_->GetGauge("serve.queue_depth")
-        .Set(static_cast<int64_t>(queue_.size()));
-    metrics_
-        ->GetGauge(std::string("serve.queue_depth.") +
-                   BoundClassName(ticket.cls))
-        .Set(static_cast<int64_t>(queued_by_class_[cls]));
+    queue_depth_.Get().Set(static_cast<int64_t>(queue_.size()));
+    by_class_[cls].queue_depth.Get().Set(
+        static_cast<int64_t>(queued_by_class_[cls]));
     t.queue_enter_ns = obs::MonotonicNowNs();
     const bool admitted = cv_.wait_for(
         lock, std::chrono::milliseconds(options_.sla.queue_timeout_ms), [&] {
@@ -447,12 +459,9 @@ Result<std::string> Server::Submit(const std::string& sid,
       }
     }
     --queued_by_class_[cls];
-    metrics_->GetGauge("serve.queue_depth")
-        .Set(static_cast<int64_t>(queue_.size()));
-    metrics_
-        ->GetGauge(std::string("serve.queue_depth.") +
-                   BoundClassName(ticket.cls))
-        .Set(static_cast<int64_t>(queued_by_class_[cls]));
+    queue_depth_.Get().Set(static_cast<int64_t>(queue_.size()));
+    by_class_[cls].queue_depth.Get().Set(
+        static_cast<int64_t>(queued_by_class_[cls]));
     cv_.notify_all();  // the next ticket may now be at the front
     if (draining_) {
       decision.action = AdmitAction::kReject;

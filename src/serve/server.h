@@ -164,9 +164,24 @@ class Server {
   Shell* const shell_;
   const Options options_;
   obs::MetricsRegistry* const metrics_;  ///< shell's registry
+  /// The serve.*.<class> series of one bound class, named from
+  /// BoundClassName.
+  struct ClassSeries {
+    ClassSeries(obs::MetricsRegistry* m, BoundClass cls);
+    obs::Series<obs::Histogram> queue_wait_ms;
+    obs::Series<obs::Histogram> exec_ms;
+    obs::Series<obs::Histogram> e2e_ms;
+    obs::Series<obs::Counter> shed;
+    obs::Series<obs::Gauge> queue_depth;
+  };
+
   // serve.* series every request moves, looked up at first use and kept.
-  // decided_ is indexed by AdmitAction.
+  // decided_ is indexed by AdmitAction, by_class_ by BoundClass and
+  // rejected_ by RejectReason.
   obs::Series<obs::Counter> decided_[4];
+  ClassSeries by_class_[kBoundClasses];
+  obs::Series<obs::Counter> rejected_[kRejectReasons];
+  obs::Series<obs::Gauge> queue_depth_{metrics_, "serve.queue_depth"};
   obs::Series<obs::Histogram> admission_latency_{metrics_,
                                                  "serve.admission_latency_ms"};
   obs::Series<obs::Gauge> running_gauge_{metrics_, "serve.running"};

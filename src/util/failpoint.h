@@ -9,15 +9,6 @@
 
 #include "util/status.h"
 
-/// Compile-time kill switch: building with -DSCALEIN_FAILPOINTS_COMPILED=0
-/// turns every SCALEIN_FAILPOINT site into `Status::OK()` with no registry
-/// reference at all, so release builds can strip the framework entirely.
-/// When compiled in (the default), a disarmed registry costs one relaxed
-/// atomic load and a predicted branch per site.
-#ifndef SCALEIN_FAILPOINTS_COMPILED
-#define SCALEIN_FAILPOINTS_COMPILED 1
-#endif
-
 namespace scalein::util {
 
 /// What an armed failpoint does when its trigger fires.
@@ -148,14 +139,11 @@ Status ParseFailpointSpec(const std::string& spec,
 
 }  // namespace scalein::util
 
-#if SCALEIN_FAILPOINTS_COMPILED
 /// Evaluates to the Status of hitting `site` (OK when disarmed/unconfigured).
+/// A disarmed registry costs one atomic load and a predicted branch.
 #define SCALEIN_FAILPOINT(site)                       \
   (::scalein::util::Failpoints::armed()               \
        ? ::scalein::util::Failpoints::Global().Hit(site) \
        : ::scalein::Status::OK())
-#else
-#define SCALEIN_FAILPOINT(site) (::scalein::Status::OK())
-#endif
 
 #endif  // SCALEIN_UTIL_FAILPOINT_H_

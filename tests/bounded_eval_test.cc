@@ -12,6 +12,13 @@
 namespace scalein {
 namespace {
 
+/// Limits arming only a fetch budget (0 disables it).
+exec::GovernorLimits FetchBudget(uint64_t budget) {
+  exec::GovernorLimits limits;
+  limits.fetch_budget = budget;
+  return limits;
+}
+
 Variable V(const char* name) { return Variable::Named(name); }
 
 FoQuery FQ(const char* text, const Schema& s) {
@@ -146,13 +153,13 @@ TEST(BoundedEvalTest, FetchBudgetEnforced) {
   ASSERT_GT(stats.base_tuples_fetched, 1u);
 
   // A generous budget succeeds; a budget one below the need fails.
-  bounded.set_fetch_budget(stats.base_tuples_fetched);
+  bounded.set_limits(FetchBudget(stats.base_tuples_fetched));
   EXPECT_TRUE(bounded.Evaluate(q1, analysis, params).ok());
-  bounded.set_fetch_budget(stats.base_tuples_fetched - 1);
+  bounded.set_limits(FetchBudget(stats.base_tuples_fetched - 1));
   Result<AnswerSet> capped = bounded.Evaluate(q1, analysis, params);
   EXPECT_FALSE(capped.ok());
   EXPECT_EQ(capped.status().code(), StatusCode::kResourceExhausted);
-  bounded.set_fetch_budget(0);  // disable
+  bounded.set_limits(FetchBudget(0));  // disable
   EXPECT_TRUE(bounded.Evaluate(q1, analysis, params).ok());
 }
 
@@ -171,7 +178,7 @@ TEST(BoundedEvalTest, FetchBudgetStopsMidEvaluationWithPartialStats) {
   // With a budget of 1 the engine must stop at the first overrun, not run
   // to completion and reject afterwards: the partial counters stay strictly
   // below the unbudgeted total.
-  bounded.set_fetch_budget(1);
+  bounded.set_limits(FetchBudget(1));
   BoundedEvalStats partial;
   Result<AnswerSet> r = bounded.Evaluate(q1, analysis, params, &partial);
   EXPECT_FALSE(r.ok());
@@ -205,7 +212,7 @@ TEST(BoundedEvalTest, StatsAccumulateAcrossEvaluations) {
 
   // A budget large enough for one evaluation does not trip on the second:
   // the cap is per Evaluate call, not per stats object.
-  bounded.set_fetch_budget(once.base_tuples_fetched);
+  bounded.set_limits(FetchBudget(once.base_tuples_fetched));
   EXPECT_TRUE(bounded.Evaluate(q1, analysis, params).ok());
   EXPECT_TRUE(bounded.Evaluate(q1, analysis, params).ok());
 }

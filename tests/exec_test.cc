@@ -95,7 +95,9 @@ TEST(ExecContextTest, JoinAgainstBaseRelationUsesIndexProbes) {
 TEST(ExecContextTest, FetchBudgetStopsExecutionMidStream) {
   Database db = EmpDb();
   exec::ExecContext ctx(&db);
-  ctx.set_fetch_budget(2);
+  exec::GovernorLimits limits;
+  limits.fetch_budget = 2;
+  ctx.set_limits(limits);
   Relation out = Drain(EmpRel(), &ctx);
   EXPECT_FALSE(ctx.ok());
   EXPECT_EQ(ctx.status().code(), StatusCode::kResourceExhausted);
